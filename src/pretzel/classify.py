@@ -35,7 +35,8 @@ from enum import Enum
 from .core import (Kind, MutationClass, as_params, classify_type,
                    mirror, mutation_class, normalize,
                    unitary_count_and_sign)
-from .fibered import FiberStatus, FiberVerdict, Subcase, is_fibered
+from .fibered import (FiberStatus, FiberVerdict, Subcase, _odd_sign_counts,
+                      _type1_fibered, is_fibered)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, signature)
 from .plumbing import determinant, negative_definite_graph
@@ -362,22 +363,6 @@ def knot_classes(max_strands: int, max_abs_param: int):
             yield ms
 
 
-def distinct_orderings(ms):
-    """Orderings of a multiset, one per cyclic-rotation-and-reversal class."""
-    seen = set()
-    out = []
-    for perm in set(itertools.permutations(ms)):
-        n = len(perm)
-        variants = []
-        for seq in (perm, tuple(reversed(perm))):
-            variants.extend(seq[r:] + seq[:r] for r in range(n))
-        key = min(variants)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return sorted(out)
-
-
 def class_fiberable(ms):
     """(fiberable, subcase) for a mutation class: is some ordering fibered?
 
@@ -385,19 +370,16 @@ def class_fiberable(ms):
     do not depend on the order at all.  In the balanced cases the auxiliary
     link of a suitable ordering realizes any cyclic ±2 word with the given
     sign counts, so only the counts matter; the equivalence with the full
-    ordering scan is property-tested.
+    ordering scan (tests/fiber_scan_oracle.py) is property-tested.
     """
     kind = classify_type(ms)
     if not kind.is_knot():
         raise ValueError("not a knot class")
     d, sign = unitary_count_and_sign(ms)
     if kind is Kind.TYPE1:
-        s = set(ms)
-        ok = (s <= {1, -3} and 1 in s) or (s <= {-1, 3} and -1 in s)
-        return ok, Subcase.T1
+        return _type1_fibered(ms), Subcase.T1
     if kind is Kind.TYPE2:
-        pos = sum(1 for x in ms if x % 2 == 1 and x > 0)
-        neg = sum(1 for x in ms if x % 2 == 1 and x < 0)
+        pos, neg = _odd_sign_counts(ms)
         even = next(x for x in ms if x % 2 == 0)
         if pos != neg:
             return (abs(pos - neg) == 2 and abs(even) == 2), Subcase.T2A
@@ -417,18 +399,6 @@ def class_fiberable(ms):
     if abs(plus2 - minus2) == 1 and plus2 + minus2 >= 3:
         return True, Subcase.T3B
     return False, Subcase.T3B
-
-
-def class_fiberable_by_scan(ms):
-    """Reference implementation of class_fiberable: try every ordering."""
-    best = None
-    for ordering in distinct_orderings(ms):
-        v = is_fibered(ordering)
-        if v.status is FiberStatus.FIBERED:
-            return True, v.subcase
-        if best is None:
-            best = v.subcase
-    return False, best
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ Subcommands:
   enumerate  bounded enumeration of mutation classes with a CSV/JSONL report
 
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
-parameter, link where a knot is required, unwritable output), 3 = search
-gave up at the node limit.  PRETZELC_NODE_LIMIT provides a default for
---node-limit.  Searches on graphs of rank > 12 require an explicit limit.
+parameter, link where a knot is required, unwritable output, bad cache
+file), 3 = search gave up at the node limit.  PRETZELC_NODE_LIMIT provides
+a default for --node-limit; only embed refuses rank > 12 without a limit.
 
 JSON schema of an analysis record (all keys always present):
   input str, params [int], kind str, fibered str, subcase str,
@@ -158,8 +158,12 @@ def cmd_embed(args):
               "PRETZELC_NODE_LIMIT) to search anyway"
               % (g.rank, RANK_LIMIT_WITHOUT_CAP), file=sys.stderr)
         return 2
-    cfg = SearchConfig(node_limit=limit, exhaustive=args.exhaustive)
-    res = find_embedding(g, cfg)
+    if args.exhaustive:
+        # imported here so that other subcommands do not pay for importing it
+        from .oracle import exhaustive_embedding
+        res = exhaustive_embedding(g, limit)
+    else:
+        res = find_embedding(g, SearchConfig(node_limit=limit))
     if args.json:
         print(json.dumps({
             "status": res.status.value,
@@ -221,18 +225,25 @@ def _cache_path(directory):
 
 
 def _load_cache(directory):
+    """Cached search results, or None after reporting a malformed line."""
     cache = {}
     path = _cache_path(directory)
     if not os.path.exists(path):
         return cache
     with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            key = (obj["center"], tuple(tuple(leg) for leg in obj["legs"]))
-            witness = tuple(tuple(r) for r in obj["witness"]) \
-                if obj["witness"] else None
-            cache[key] = EmbeddingResult(
-                DonaldsonStatus(obj["status"]), witness, obj["nodes"])
+        for n, line in enumerate(fh, 1):
+            try:
+                obj = json.loads(line)
+                key = (obj["center"],
+                       tuple(tuple(leg) for leg in obj["legs"]))
+                witness = tuple(tuple(r) for r in obj["witness"]) \
+                    if obj["witness"] else None
+                cache[key] = EmbeddingResult(
+                    DonaldsonStatus(obj["status"]), witness, obj["nodes"])
+            except (ValueError, KeyError, TypeError) as exc:
+                print("error: bad cache file %s line %d: %s"
+                      % (path, n, exc), file=sys.stderr)
+                return None
     return cache
 
 
@@ -269,9 +280,11 @@ def _worker(task):
 
 def cmd_enumerate(args):
     node_limit = _node_limit_from(args)
-    classes = sorted(knot_classes(args.max_strands, args.max_param))
     cache = _load_cache(args.cache) if args.cache else {}
+    if cache is None:
+        return 2
     preloaded = set(cache)
+    classes = sorted(knot_classes(args.max_strands, args.max_param))
 
     records = []
     if args.jobs > 1:
@@ -337,15 +350,13 @@ def build_parser():
     e = _allow_leading_minus(sub.add_parser("embed", help="Donaldson embedding witness"))
     e.add_argument("params")
     e.add_argument("--exhaustive", action="store_true",
-                   help="oracle mode: no symmetry breaking or Wu pruning")
+                   help="decide with the standalone exhaustive oracle")
     e.add_argument("--node-limit", type=int, default=None)
     e.add_argument("--json", action="store_true")
     e.set_defaults(func=cmd_embed)
 
     g = _allow_leading_minus(sub.add_parser("graph", help="negative definite graph as DOT"))
     g.add_argument("params")
-    g.add_argument("--dot", action="store_true", default=True,
-                   help="emit DOT (default)")
     g.set_defaults(func=cmd_graph)
 
     n = _allow_leading_minus(sub.add_parser("enumerate", help="bounded enumeration report"))

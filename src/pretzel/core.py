@@ -107,8 +107,14 @@ def normalize(params) -> tuple[int, ...]:
     (±1, ∓2) coexistence; knot/link status is unchanged.  Deletions are
     leftmost-first and the order of the surviving entries is preserved.
 
-    The two rules are confluent (checked by test on random inputs); rule (a)
-    is exhausted before rule (b).
+    Which ±2 entry a rule (b) step flips depends on the rewrite order, so
+    last the ±2 entries are sorted among their own positions (every -2
+    before every 2).  That is an isotopy: -2 is 2 plus a -1 integer tangle,
+    which flypes to any other position.  A knot has at most one even
+    parameter, so this step only ever moves entries of links.
+
+    With that step the result does not depend on the rewrite order (checked
+    by test on random inputs); rule (a) is exhausted before rule (b).
     """
     p = list(as_params(params))
     changed = True
@@ -127,6 +133,9 @@ def normalize(params) -> tuple[int, ...]:
     if not p:
         raise ValueError("parameters cancel completely (unlink); "
                          "no normalized form exists")
+    twos = [i for i, x in enumerate(p) if abs(x) == 2]
+    for i, x in zip(twos, sorted(p[i] for i in twos)):
+        p[i] = x
     return tuple(p)
 
 

@@ -151,49 +151,32 @@ def is_alternating_model(word) -> bool:
     return all(word[i] != word[(i + 1) % n] for i in range(n))
 
 
+def _matches_model(word, tail=None) -> bool:
+    """Some comparison variant of word reads 2,-2,2,-2,... and ends in tail
+    (in any last entry when tail is None)."""
+    n = len(word)
+    head = ((2, -2) * n)[:n - 1]
+    return any(v[:-1] == head and (tail is None or v[-1] == tail)
+               for v in _variants(word))
+
+
 def matches_arbitrary_tail_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,n) for some integer n, at least one (2,-2)
     pair, up to the comparison moves."""
-    n = len(word)
-    if n < 3 or n % 2 == 0:
-        return False
-    for v in _variants(word):
-        head = v[:-1]
-        if all(abs(x) == 2 for x in head) and head[0] == 2 and \
-                all(head[i] != head[i + 1] for i in range(len(head) - 1)):
-            return True
-    return False
+    return len(word) >= 3 and len(word) % 2 == 1 and _matches_model(word)
 
 
 def matches_two_minus_four_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,2,-4) up to the comparison moves."""
-    n = len(word)
-    if n < 2 or n % 2 == 1:
-        return False
-    for v in _variants(word):
-        if v[-1] != -4:
-            continue
-        head = v[:-1]
-        if all(abs(x) == 2 for x in head) and head[0] == 2 and \
-                all(head[i] != head[i + 1] for i in range(len(head) - 1)):
-            return True
-    return False
+    return len(word) >= 2 and len(word) % 2 == 0 and \
+        _matches_model(word, -4)
 
 
 def matches_extra_minus_two_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,-2), at least one (2,-2) pair, up to the
     comparison moves."""
-    n = len(word)
-    if n < 3 or n % 2 == 0:
-        return False
-    for v in _variants(word):
-        if v[-1] != -2:
-            continue
-        head = v[:-1]
-        if all(abs(x) == 2 for x in head) and head[0] == 2 and \
-                all(head[i] != head[i + 1] for i in range(len(head) - 1)):
-            return True
-    return False
+    return len(word) >= 3 and len(word) % 2 == 1 and \
+        _matches_model(word, -2)
 
 
 # ---------------------------------------------------------------------------

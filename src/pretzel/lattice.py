@@ -19,7 +19,7 @@ evaluated on the negative definite graph, where sign(Q) = -rank; the result
 is negated if the graph was built from the mirror.
 
 Search pruning.  The basis symmetry of the diagonal lattice (signed column
-permutations) is broken in two layers, both disabled in oracle mode:
+permutations) is broken in two layers:
 
 * first-use gauge: a row may only introduce fresh columns as the next
   unused indices, in one contiguous block with positive entries;
@@ -38,8 +38,8 @@ all its coordinates are odd, and Q(w,w) = -k then forces them to be exactly
 ±1.  If moreover no two Wu vertices are adjacent, the Wu rows must have
 pairwise disjoint supports partitioning all k columns with entries ±1, so
 placing them first (see _search_order) pins them completely and the
-remaining rows decompose along the blocks.  Consistency with the oracle is
-checked by test on every small corpus graph and on random samples.
+remaining rows decompose along the blocks.  Agreement with pretzel.oracle
+is checked by test on every small corpus graph and on random samples.
 """
 
 from __future__ import annotations
@@ -154,13 +154,11 @@ class EmbeddingResult:
 class SearchConfig:
     """Knobs for find_embedding.
 
-    exhaustive turns on oracle mode: no symmetry breaking, no Wu pruning,
-    candidate rows are every integer vector of the right norm.  node_limit
-    caps the number of row placements before giving up (INCONCLUSIVE).
+    wu_pruning turns on the sigma = 0 Wu prune.  node_limit caps the number
+    of row placements before giving up (INCONCLUSIVE).
     """
     wu_pruning: bool = True
     node_limit: int | None = None
-    exhaustive: bool = False
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit <= 0:
@@ -239,14 +237,13 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
 
     sigma_zero = wu is not None and quadratic_form(q, [1 if i in wu else 0
                                                        for i in range(k)]) == -k
-    wu_active = (cfg.wu_pruning and not cfg.exhaustive
-                 and wu is not None and len(wu) > 0 and sigma_zero)
+    wu_active = (cfg.wu_pruning and wu is not None and len(wu) > 0
+                 and sigma_zero)
     wu_set = set(wu) if wu_active else set()
     wu_independent = wu_active and all(
         q[a][b] == 0 for a in wu for b in wu if a < b)
 
-    order = _search_order(q, wu_set) if not cfg.exhaustive else \
-        _search_order(q, set())
+    order = _search_order(q, wu_set)
     req = [[-q[order[s]][order[t]] for t in range(k)] for s in range(k)]
     is_wu_step = [order[s] in wu_set for s in range(k)]
     last_wu_step = max((s for s in range(k) if is_wu_step[s]), default=-1)
@@ -259,7 +256,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
 
     def candidates(s):
         n = norms[order[s]]
-        u = k if cfg.exhaustive else state["used"]
+        u = state["used"]
         wu_special = wu_independent and is_wu_step[s]
         bound = 1 if wu_special else math.isqrt(n)
         forbidden = state["wu_covered"] if wu_special else 0
@@ -271,18 +268,15 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         # Columns with identical entries in every placed row are
         # interchangeable; canonicalize candidates by requiring entries to
         # be non-increasing along each such group (iterated, so later rows
-        # see the refinement).  Off in oracle mode.
-        if cfg.exhaustive:
-            prev_in_group = [-1] * k
-        else:
-            group = state["group"]
-            last_seen: dict = {}
-            prev_in_group = [-1] * k
-            for c in range(u):
-                gid = group[c]
-                if gid in last_seen:
-                    prev_in_group[c] = last_seen[gid]
-                last_seen[gid] = c
+        # see the refinement).
+        group = state["group"]
+        last_seen: dict = {}
+        prev_in_group = [-1] * k
+        for c in range(u):
+            gid = group[c]
+            if gid in last_seen:
+                prev_in_group[c] = last_seen[gid]
+            last_seen[gid] = c
         # suffix norms of previous rows over the used region, for the
         # Cauchy-Schwarz cut (need - partial)^2 <= remaining * suffix
         suffix = []
@@ -317,7 +311,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
                         return
                 if remaining == 0:
                     yield tuple(vec)
-                elif not cfg.exhaustive:
+                else:
                     yield from fill_fresh(remaining, bound, u)
                 return
             top = min(math.isqrt(remaining), bound)

@@ -17,6 +17,7 @@ from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig, Status,
                      Subcase, analyze, determinant, enumerate_classes,
                      find_embedding, graph_signature, is_fibered, mirror,
                      negative_definite_graph, signature, verify_embedding)
+from pretzel.oracle import exhaustive_embedding
 
 from conftest import random_knot_params
 from goeritz_oracle import goeritz_signature
@@ -211,7 +212,7 @@ def test_criterion_7_oracle_equivalence():
     assert graphs
     for p, g in graphs:
         default = find_embedding(g)
-        oracle = find_embedding(g, SearchConfig(exhaustive=True))
+        oracle = exhaustive_embedding(g)
         assert bool(default) == bool(oracle), p
         if graph_signature(g) == 0:
             on = find_embedding(g, SearchConfig(wu_pruning=True))

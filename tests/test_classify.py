@@ -8,9 +8,10 @@ from pretzel import (DonaldsonStatus, FiberStatus, Kind, Status, analyze,
                      enumerate_classes, is_detectably_ribbon, is_exceptional,
                      knot_classes, match_family, mirror, mutation_class,
                      normalize)
-from pretzel.classify import class_fiberable_by_scan, class_record
+from pretzel.classify import class_record
 
 from conftest import random_knot_params
+from fiber_scan_oracle import class_fiberable_by_scan
 
 
 # ---------------------------------------------------------------------------

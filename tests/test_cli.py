@@ -112,9 +112,20 @@ def test_embed_no_embedding(capsys):
 
 
 def test_embed_exhaustive_agrees(capsys):
-    rc = main(["embed", "1,1,3,-4", "--exhaustive", "--json"])
-    rec = json.loads(capsys.readouterr().out)
-    assert rc == 0 and rec["status"] == "embeddable"
+    for params, status in (("1,1,3,-4", "embeddable"),
+                           ("1,1,-3", "not_embeddable")):
+        recs = []
+        for extra in ([], ["--exhaustive"]):
+            rc = main(["embed", params, "--json"] + extra)
+            recs.append(json.loads(capsys.readouterr().out))
+            assert rc == 0
+        assert recs[0]["status"] == recs[1]["status"] == status, params
+    # the oracle keeps the node limit and the rank cap of the search
+    assert main(["embed", "1,1,3,-4", "--exhaustive", "--node-limit",
+                 "2"]) == 3
+    assert "INCONCLUSIVE (2 nodes searched, limit 2)" in \
+        capsys.readouterr().out
+    assert main(["embed", "7,-7,5,-5,4", "--exhaustive"]) == 2
 
 
 def test_embed_node_limit_exit_3(capsys):
@@ -229,6 +240,22 @@ def test_enumerate_cache_rerun_identical(tmp_path):
                 "--cache", str(cache), "--out", str(out2))
     assert r.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_enumerate_truncated_cache_exit_2(tmp_path):
+    cache = tmp_path / "cache"
+    args = ("enumerate", "--max-strands", "4", "--max-param", "3",
+            "--cache", str(cache), "--out", str(tmp_path / "r.csv"))
+    assert run_cli(*args).returncode == 0
+    path = cache / "donaldson-cache.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) >= 2
+    path.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert r.stderr.startswith("error: bad cache file %s line %d: "
+                               % (path, len(lines)))
 
 
 def test_enumerate_unwritable_output(tmp_path):

@@ -52,6 +52,12 @@ def test_normalize_positions_are_preserved():
     assert normalize((7, 1, -2, 9)) == (7, 2, 9)
 
 
+def test_normalize_sorts_the_twos_of_a_link():
+    # either rewrite order may flip either 2; the sorted form is the same link
+    assert normalize((1, -1, -1, 2, 2)) == (-2, 2)
+    assert normalize((2, 3, -2)) == (-2, 3, 2)
+
+
 def test_mirror_examples():
     assert mirror((1, 1, 3, -4)) == (-1, -1, -3, 4)
     assert mirror((5, -5, 7, -7, 4)) == (-5, 5, -7, 7, -4)
@@ -78,7 +84,8 @@ def test_normalize_idempotent(p):
 
 def _normalize_rule_b_first(params):
     """Alternative normalization order: exhaust the (±1, ∓2) rewrite before
-    unitary-pair deletion."""
+    unitary-pair deletion, then put every -2 before every 2 among the
+    positions that hold ±2."""
     p = list(params)
     changed = True
     while changed:
@@ -92,6 +99,10 @@ def _normalize_rule_b_first(params):
             p.remove(1)
             p.remove(-1)
             changed = True
+    slots = [i for i, x in enumerate(p) if x in (2, -2)]
+    negatives = sum(1 for i in slots if p[i] == -2)
+    for k, i in enumerate(slots):
+        p[i] = -2 if k < negatives else 2
     return tuple(p)
 
 

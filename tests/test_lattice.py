@@ -10,6 +10,7 @@ from pretzel import (DonaldsonStatus, SearchConfig, SingularMod2Error,
                      mirror, negative_definite_graph, project_embedding,
                      signature, verify_embedding, wu_class, wu_vertices)
 from pretzel.lattice import quadratic_form
+from pretzel.oracle import exhaustive_embedding
 from pretzel.plumbing import StarGraph
 
 from conftest import CORPUS, random_knot_params
@@ -177,7 +178,7 @@ def test_verify_embedding_trivials():
 
 
 # ---------------------------------------------------------------------------
-# oracle equivalence (exhaustive mode) and Wu-pruning consistency
+# oracle equivalence (standalone exhaustive oracle) and Wu-pruning consistency
 
 def rank5_corpus_graphs():
     out = []
@@ -193,7 +194,7 @@ def test_exhaustive_matches_default_on_small_corpus():
     assert len(graphs) >= 6
     for p, g in graphs:
         a = find_embedding(g)
-        b = find_embedding(g, SearchConfig(exhaustive=True))
+        b = exhaustive_embedding(g)
         assert bool(a) == bool(b), p
         if a.witness:
             assert verify_embedding(g, a.witness)
@@ -234,8 +235,10 @@ def test_exhaustive_matches_default_random_stress():
         if g.rank > 6:
             continue
         fast = find_embedding(g)
-        oracle = find_embedding(g, SearchConfig(exhaustive=True))
+        oracle = exhaustive_embedding(g)
         assert bool(fast) == bool(oracle), p
+        if oracle.witness:
+            assert verify_embedding(g, oracle.witness), p
         checked += 1
 
 

@@ -35,10 +35,10 @@ from enum import Enum
 from .core import (Kind, MutationClass, as_params, classify_type,
                    mirror, mutation_class, normalize,
                    unitary_count_and_sign)
-from .fibered import (FiberStatus, FiberVerdict, Subcase, _odd_sign_counts,
-                      _type1_fibered, is_fibered)
+from .fibered import (FiberStatus, FiberVerdict, Subcase, _order_free,
+                      _unique_min, is_fibered)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
-                      find_embedding, signature)
+                      find_embedding, graph_signature)
 from .plumbing import determinant, negative_definite_graph
 
 
@@ -91,118 +91,73 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # ribbon family matching
 
-def _pair_up(values):
-    """Split a multiset of odd entries into {q, -q} pairs with q >= 3;
-    return the sorted positive representatives or None."""
-    pool = sorted(values)
-    pairs = []
-    while pool:
-        x = pool.pop()
-        if x < 3 or x % 2 == 0:
-            return None
-        try:
-            pool.remove(-x)
-        except ValueError:
-            return None
-        pairs.append(x)
-    return tuple(sorted(pairs))
+_F1 = [-3, -3, -3, 1, 1, 1, 1]
 
 
-def _match_one_side(ms, mirrored):
-    found = []
-    n = len(ms)
-    # F1
-    if tuple(sorted(ms)) == (-3, -3, -3, 1, 1, 1, 1):
-        found.append(RibbonFamily("F1", mirrored=mirrored))
-    # F2: unique even entry k, rest pairs, r >= 1
-    evens = [x for x in ms if x % 2 == 0]
-    if len(evens) == 1 and n >= 3 and n % 2 == 1:
-        rest = list(ms)
-        rest.remove(evens[0])
-        pairs = _pair_up(rest)
-        if pairs:
-            found.append(RibbonFamily("F2", pairs=pairs, k=evens[0],
-                                      mirrored=mirrored))
-    # F3: base {1, 3, t+1, -4-t} plus pairs
-    if n >= 4 and n % 2 == 0:
-        max_abs = max(abs(x) for x in ms)
-        for t in range(0, max_abs + 4):
-            base = [1, 3, t + 1, -4 - t]
-            rest = list(ms)
-            ok = True
-            for b in base:
-                if b in rest:
-                    rest.remove(b)
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            pairs = _pair_up(rest)
-            if pairs is not None:
-                found.append(RibbonFamily("F3", pairs=pairs, t=t,
-                                          mirrored=mirrored))
-    # F4: base {k, -k-1} plus pairs, 1 < k < q_i
-    if n >= 2 and n % 2 == 0:
-        for k in sorted({x for x in ms if x > 1}):
-            rest = list(ms)
-            if -k - 1 not in rest:
-                continue
-            rest.remove(k)
-            rest.remove(-k - 1)
-            pairs = _pair_up(rest)
-            if pairs is not None and all(k < q for q in pairs):
-                found.append(RibbonFamily("F4", pairs=pairs, k=k,
-                                          mirrored=mirrored))
-    return found
+def _take(ms, base):
+    """ms less the multiset base, or None when ms does not contain base."""
+    rest = list(ms)
+    try:
+        for b in base:
+            rest.remove(b)
+    except ValueError:
+        return None
+    return rest
+
+
+def _pairs(values):
+    """The sorted q > 0 of a split of values into pairs {q, -q}, or None."""
+    pos = sorted(x for x in values if x > 0)
+    if 2 * len(pos) == len(values) and \
+            pos == sorted(-x for x in values if x < 0):
+        return tuple(pos)
+    return None
+
+
+def _bases(ms):
+    """(tag, k, t, rest) for each F1..F4 base contained in the multiset ms,
+    rest being ms less the base.  The F1 base is 10_75 itself and takes no
+    pairs, so it is only found with an empty rest."""
+    if sorted(ms) == _F1:
+        yield "F1", None, None, []
+    for x in set(ms):
+        if x % 2 == 0:
+            yield "F2", x, None, _take(ms, (x,))
+        if x > 1 and -x - 1 in ms:
+            yield "F4", x, None, _take(ms, (x, -x - 1))
+    # F3 base {1, 3, t+1, -4-t}: with x = t+1 >= 1 the last entry is -3-x
+    rest13 = _take(ms, (1, 3))
+    for x in set(rest13 or ()):
+        if x >= 1 and -3 - x in rest13:
+            yield "F3", None, x - 1, _take(rest13, (x, -3 - x))
 
 
 def match_family(c: MutationClass) -> tuple[RibbonFamily | None,
                                             tuple[RibbonFamily, ...]]:
     """All family matches of a mutation class, tried on the multiset and its
     mirror; the primary match is the first in tag order F1 < F2 < F3 < F4."""
-    matches = _match_one_side(c.multiset, False)
-    matches += [m for m in _match_one_side(tuple(-x for x in c.multiset), True)
-                if m not in matches]
-    matches.sort(key=lambda f: (f.tag, f.mirrored, f.pairs))
-    uniq = []
-    for m in matches:
-        if m not in uniq:
-            uniq.append(m)
-    return (uniq[0] if uniq else None), tuple(uniq)
+    found = []
+    for mirrored, ms in ((False, c.multiset), (True, mirror(c.multiset))):
+        for tag, k, t, rest in _bases(ms):
+            pairs = _pairs(rest)
+            if pairs is None or any(q < 3 or q % 2 == 0 for q in pairs) \
+                    or (tag == "F2" and not pairs) \
+                    or (tag == "F4" and any(q <= k for q in pairs)):
+                continue
+            found.append(RibbonFamily(tag, pairs, k, t, mirrored))
+    found.sort(key=lambda f: (f.tag, f.mirrored, f.pairs))
+    return (found[0] if found else None), tuple(found)
 
 
 def is_exceptional(c: MutationClass) -> bool:
     """Pairs {p, -p} plus a triple (a, -a-2, -(a+1)^2/2), a = 1 or 97
     mod 120, up to mirror and reordering."""
-    for ms in (c.multiset, tuple(sorted(-x for x in c.multiset))):
-        if classify_type(ms) is not Kind.TYPE2:
-            continue
-        for a in sorted({x for x in ms if x > 0 and x % 2 == 1}):
-            if a % 120 not in (1, 97):
-                continue
-            triple = [a, -a - 2, -((a + 1) ** 2) // 2]
-            rest = list(ms)
-            ok = True
-            for v in triple:
-                if v in rest:
-                    rest.remove(v)
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if not rest:
-                return True
-            pool = sorted(rest)
-            good = True
-            while pool:
-                x = pool.pop()
-                if x <= 0 or -x not in pool:
-                    good = False
-                    break
-                pool.remove(-x)
-            if good:
+    if classify_type(c.multiset) is not Kind.TYPE2:
+        return False
+    for ms in (c.multiset, mirror(c.multiset)):
+        for a in {x for x in ms if x > 0 and x % 120 in (1, 97)}:
+            rest = _take(ms, (a, -a - 2, -((a + 1) ** 2) // 2))
+            if rest is not None and _pairs(rest) is not None:
                 return True
     return False
 
@@ -236,25 +191,12 @@ def detectably_ribbon_reduce(params) -> tuple[int, ...]:
             del p[idx]
 
 
-def _whitelist_base(params) -> bool:
-    for ms in (tuple(sorted(params)), tuple(sorted(-x for x in params))):
-        if len(ms) == 1 and ms[0] % 2 == 0:
-            return True
-        if len(ms) == 2:
-            k = max(ms)
-            if k >= 2 and tuple(sorted((k, -k - 1))) == ms:
-                return True
-        if len(ms) == 4 and 1 in ms and 3 in ms:
-            for t in range(0, max(abs(x) for x in ms) + 4):
-                if tuple(sorted((1, 3, t + 1, -4 - t))) == ms:
-                    return True
-        if ms == (-3, -3, -3, 1, 1, 1, 1):
-            return True
-    return False
-
-
 def is_detectably_ribbon(params) -> bool:
-    return _whitelist_base(detectably_ribbon_reduce(params))
+    """The adjacent-pair ribbon move reduces params to a family base (or
+    its mirror) with nothing left over."""
+    p = detectably_ribbon_reduce(params)
+    return any(not rest for ms in (p, tuple(-x for x in p))
+               for _, _, _, rest in _bases(ms))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +207,9 @@ def analyze(params, node_limit: int | None = None,
     """Full verdict for one parameter list.
 
     NotSlice short-circuits before the embedding search whenever the
-    determinant or the signature already obstructs.  The Donaldson search
-    runs on the canonical negative definite graph, which both mirrors of
-    the knot share.
+    determinant or the signature already obstructs.  The signature and the
+    Donaldson search read one negative definite graph, built on the sorted
+    parameters so that every mutant gets the same graph.
     """
     p = as_params(params)
     kind = classify_type(p)
@@ -282,7 +224,8 @@ def analyze(params, node_limit: int | None = None,
     cls = mutation_class(pn)
     det = determinant(pn)
     det_square = math.isqrt(det) ** 2 == det
-    sig = signature(pn)
+    g = negative_definite_graph(tuple(sorted(pn)))
+    sig = -graph_signature(g) if g.mirrored else graph_signature(g)
     family, all_fams = match_family(cls)
     exceptional = is_exceptional(cls)
     ribbon_move = is_detectably_ribbon(pn)
@@ -296,7 +239,7 @@ def analyze(params, node_limit: int | None = None,
         status = Status.NOT_SLICE
         reason = "signature"
     else:
-        donaldson = _donaldson(pn, node_limit, _donaldson_cache)
+        donaldson = _donaldson(g, node_limit, _donaldson_cache)
         if donaldson.status is DonaldsonStatus.NOT_EMBEDDABLE:
             status = Status.NOT_SLICE
             reason = "donaldson"
@@ -315,15 +258,10 @@ def analyze(params, node_limit: int | None = None,
                    ribbon_move, status, reason)
 
 
-def _graph_key(g):
-    return (g.center_weight, tuple(sorted(g.legs)))
-
-
-def _donaldson(pn, node_limit, cache):
-    """Embedding search on the canonical (sorted-leg) negative definite
-    graph so that mutants share results; optionally memoized."""
-    g = negative_definite_graph(tuple(sorted(pn)))
-    key = _graph_key(g)
+def _donaldson(g, node_limit, cache):
+    """Embedding search on the negative definite graph g, memoized under
+    its center weight and sorted legs, which mutants and mirrors share."""
+    key = (g.center_weight, tuple(sorted(g.legs)))
     if cache is not None and key in cache:
         return cache[key]
     res = find_embedding(g, SearchConfig(node_limit=node_limit))
@@ -375,30 +313,19 @@ def class_fiberable(ms):
     kind = classify_type(ms)
     if not kind.is_knot():
         raise ValueError("not a knot class")
-    d, sign = unitary_count_and_sign(ms)
-    if kind is Kind.TYPE1:
-        return _type1_fibered(ms), Subcase.T1
+    free = _order_free(ms, kind)
+    if free is not None:
+        return free
     if kind is Kind.TYPE2:
-        pos, neg = _odd_sign_counts(ms)
-        even = next(x for x in ms if x % 2 == 0)
-        if pos != neg:
-            return (abs(pos - neg) == 2 and abs(even) == 2), Subcase.T2A
+        d, _ = unitary_count_and_sign(ms)
         t = sum(1 for x in ms if x % 2 == 1 and abs(x) > 1 and x > 0)
         r = sum(1 for x in ms if x % 2 == 1 and abs(x) > 1 and x < 0)
         return (d == 0 and t == r and t >= 1), Subcase.T2B
-    pos = sum(1 for x in ms if x > 0)
-    neg = len(ms) - pos
-    if pos != neg:
-        return abs(pos - neg) == 2, Subcase.T3A
     plus2 = sum(1 for x in ms if abs(x) > 1 and x < 0)
     minus2 = sum(1 for x in ms if abs(x) > 1 and x > 0)
     if plus2 == minus2:
-        mins = sorted(abs(x) for x in ms)
-        unique_min = len(mins) == 1 or mins[0] != mins[1]
-        return unique_min, Subcase.T3C
-    if abs(plus2 - minus2) == 1 and plus2 + minus2 >= 3:
-        return True, Subcase.T3B
-    return False, Subcase.T3B
+        return _unique_min(ms), Subcase.T3C
+    return abs(plus2 - minus2) == 1 and plus2 + minus2 >= 3, Subcase.T3B
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
 parameter, link where a knot is required, unwritable output, bad cache
-file), 3 = search gave up at the node limit.  PRETZELC_NODE_LIMIT provides
-a default for --node-limit; only embed refuses rank > 12 without a limit.
+file, node limit not a positive integer), 3 = search gave up at the node
+limit.  PRETZELC_NODE_LIMIT provides a default for --node-limit; only
+embed refuses rank > 12 without a limit.
 
 JSON schema of an analysis record (all keys always present):
   input str, params [int], kind str, fibered str, subcase str,
@@ -31,6 +32,7 @@ regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import multiprocessing
 import os
@@ -51,10 +53,22 @@ CSV_HEADER = ("class_key,kind,subcase,fibered,det,det_square,sigma,"
 
 
 def _node_limit_from(args):
-    if getattr(args, "node_limit", None) is not None:
-        return args.node_limit
-    env = os.environ.get("PRETZELC_NODE_LIMIT")
-    return int(env) if env else None
+    """--node-limit, else PRETZELC_NODE_LIMIT, else None; a value that is
+    not a positive integer ends the run with exit 2."""
+    text = args.node_limit
+    if text is None:
+        text = os.environ.get("PRETZELC_NODE_LIMIT") or None
+    if text is None:
+        return None
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        print("error: node limit must be a positive integer, got '%s'"
+              % text, file=sys.stderr)
+        raise SystemExit(2)
+    return limit
 
 
 def _parse_or_die(text):
@@ -274,8 +288,8 @@ def _worker(task):
     ms, node_limit = task
     before = len(_WORKER_CACHE)
     rec = class_record(ms, node_limit=node_limit, cache=_WORKER_CACHE)
-    new = {} if len(_WORKER_CACHE) == before else dict(_WORKER_CACHE)
-    return rec, new
+    # dicts keep insertion order, so the entries this class added come last
+    return rec, dict(itertools.islice(_WORKER_CACHE.items(), before, None))
 
 
 def cmd_enumerate(args):
@@ -344,14 +358,14 @@ def build_parser():
     a = _allow_leading_minus(sub.add_parser("analyze", help="full verdict for one knot"))
     a.add_argument("params")
     a.add_argument("--json", action="store_true")
-    a.add_argument("--node-limit", type=int, default=None)
+    a.add_argument("--node-limit", default=None)
     a.set_defaults(func=cmd_analyze)
 
     e = _allow_leading_minus(sub.add_parser("embed", help="Donaldson embedding witness"))
     e.add_argument("params")
     e.add_argument("--exhaustive", action="store_true",
                    help="decide with the standalone exhaustive oracle")
-    e.add_argument("--node-limit", type=int, default=None)
+    e.add_argument("--node-limit", default=None)
     e.add_argument("--json", action="store_true")
     e.set_defaults(func=cmd_embed)
 
@@ -366,7 +380,7 @@ def build_parser():
     n.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     n.add_argument("--jobs", type=int, default=1)
     n.add_argument("--cache", default=None)
-    n.add_argument("--node-limit", type=int, default=None)
+    n.add_argument("--node-limit", default=None)
     n.set_defaults(func=cmd_enumerate)
     return ap
 

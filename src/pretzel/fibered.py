@@ -182,37 +182,49 @@ def matches_extra_minus_two_model(word) -> bool:
 # ---------------------------------------------------------------------------
 # the decision
 
-def _odd_sign_counts(params):
-    pos = sum(1 for x in params if x % 2 == 1 and x > 0)
-    neg = sum(1 for x in params if x % 2 == 1 and x < 0)
-    return pos, neg
+def _order_free(params, kind):
+    """(fibered, subcase) for the subcases that the order of the parameters
+    cannot change (T1, T2A, T3A), else None."""
+    if kind is Kind.TYPE1:
+        s = set(params)
+        return (s <= {1, -3} and 1 in s) or (s <= {-1, 3} and -1 in s), \
+            Subcase.T1
+    if kind is Kind.TYPE2:
+        pos = sum(1 for x in params if x % 2 == 1 and x > 0)
+        neg = sum(1 for x in params if x % 2 == 1 and x < 0)
+        even = next(x for x in params if x % 2 == 0)
+        if pos != neg:
+            return abs(pos - neg) == 2 and abs(even) == 2, Subcase.T2A
+        return None
+    # Type 3: counts over all parameters
+    pos = sum(1 for x in params if x > 0)
+    neg = len(params) - pos
+    if pos != neg:
+        return abs(pos - neg) == 2, Subcase.T3A
+    return None
 
 
-def _type1_fibered(params) -> bool:
-    s = set(params)
-    return (s <= {1, -3} and 1 in s) or (s <= {-1, 3} and -1 in s)
+def _unique_min(params) -> bool:
+    """The Type 3C rule: one parameter of least absolute value."""
+    mins = sorted(abs(x) for x in params)
+    return len(mins) == 1 or mins[0] != mins[1]
+
+
+def _verdict(fibered, subcase) -> FiberVerdict:
+    return FiberVerdict(
+        FiberStatus.FIBERED if fibered else FiberStatus.NOT_FIBERED, subcase)
 
 
 def _decide(params) -> FiberVerdict:
     kind = classify_type(params)
     if kind is Kind.LINK:
         return FiberVerdict(FiberStatus.NOT_A_KNOT, Subcase.NONE)
-
-    if kind is Kind.TYPE1:
-        ok = _type1_fibered(params)
-        return FiberVerdict(
-            FiberStatus.FIBERED if ok else FiberStatus.NOT_FIBERED, Subcase.T1)
-
-    d, _ = unitary_count_and_sign(params)
+    free = _order_free(params, kind)
+    if free is not None:
+        return _verdict(*free)
 
     if kind is Kind.TYPE2:
-        pos, neg = _odd_sign_counts(params)
-        even = next(x for x in params if x % 2 == 0)
-        if pos != neg:
-            ok = abs(pos - neg) == 2 and abs(even) == 2
-            return FiberVerdict(
-                FiberStatus.FIBERED if ok else FiberStatus.NOT_FIBERED,
-                Subcase.T2A)
+        d, _ = unitary_count_and_sign(params)
         words = [aux_link(seq, Kind.TYPE2)
                  for seq in _even_last_full(params, Kind.TYPE2)]
         # The sign of the even-parameter slot of L' is ambiguous in the
@@ -226,27 +238,14 @@ def _decide(params) -> FiberVerdict:
             return FiberVerdict(FiberStatus.REDUCES_TO_TYPE3, Subcase.T2C)
         ok = any(matches_arbitrary_tail_model(w) for w in words) or \
             (d == 0 and any(matches_two_minus_four_model(w) for w in words))
-        return FiberVerdict(
-            FiberStatus.FIBERED if ok else FiberStatus.NOT_FIBERED, Subcase.T2B)
+        return _verdict(ok, Subcase.T2B)
 
-    # Type 3: counts over all parameters
-    pos = sum(1 for x in params if x > 0)
-    neg = len(params) - pos
-    if pos != neg:
-        ok = abs(pos - neg) == 2
-        return FiberVerdict(
-            FiberStatus.FIBERED if ok else FiberStatus.NOT_FIBERED, Subcase.T3A)
     words = [aux_link(seq, Kind.TYPE3)
              for seq in _even_last_full(params, Kind.TYPE3)]
     if any(is_alternating_model(w) for w in words):
-        mins = sorted(abs(x) for x in params)
-        unique_min = len(mins) == 1 or mins[0] != mins[1]
-        return FiberVerdict(
-            FiberStatus.FIBERED if unique_min else FiberStatus.NOT_FIBERED,
-            Subcase.T3C)
-    ok = any(matches_extra_minus_two_model(w) for w in words)
-    return FiberVerdict(
-        FiberStatus.FIBERED if ok else FiberStatus.NOT_FIBERED, Subcase.T3B)
+        return _verdict(_unique_min(params), Subcase.T3C)
+    return _verdict(any(matches_extra_minus_two_model(w) for w in words),
+                    Subcase.T3B)
 
 
 def _even_last_full(params, kind):

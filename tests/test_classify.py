@@ -36,10 +36,14 @@ def test_family_f2():
     assert fam((-5, 5, -7, 7, -4)).tag == "F2"
     assert fam((3, -3, 2)).tag == "F2"
     assert fam((5, -5, 5, -5, 6)).tag == "F2"
+    # r >= 1: the bare base (4,) is no F2 member (though ribbon-move base)
+    assert fam((4,)) is None
 
 
 def test_family_f3():
     f = fam((1, 1, 3, -4))
+    assert (f.tag, f.t, f.pairs) == ("F3", 0, ())
+    f = fam((1, 3, 1, -4))
     assert (f.tag, f.t, f.pairs) == ("F3", 0, ())
     f = fam((1, 2, 3, -5))
     assert (f.tag, f.t) == ("F3", 1)
@@ -55,6 +59,7 @@ def test_family_f4():
     # the k < q_i constraint is strict: P(-3,3,-3,4) is ribbon but its k
     # ties the pair value, so it is not in the fibered-ribbon family
     assert fam((-3, 3, -3, 4)) is None
+    assert fam((3, -4, 3, -3)) is None
 
 
 def test_family_no_match():
@@ -77,6 +82,8 @@ def test_exceptional_triples():
     assert is_exceptional(mutation_class((1, -3, -2, 3, -3)))
     assert is_exceptional(mutation_class((-1, 3, 2)))  # mirror
     assert is_exceptional(mutation_class((97, -99, -4802)))
+    # not normalized: the rest {1, -1} still counts as a pair
+    assert is_exceptional(mutation_class((1, -1, 1, -3, -2)))
     assert not is_exceptional(mutation_class((5, -5, 7, -7, 4)))
     assert not is_exceptional(mutation_class((3, -5, -2)))   # a = 3 not 1 mod 120
     assert not is_exceptional(mutation_class((1, -3, -4)))   # wrong square half
@@ -99,6 +106,8 @@ def test_detectably_ribbon_flag():
     assert is_detectably_ribbon((3, -3, 5, -5, 4))      # base (4)
     assert is_detectably_ribbon((2, -3, 3, -3))         # base (k,-k-1) mirror
     assert is_detectably_ribbon((1, 1, 3, -4))          # base (1,t+1,3,-4-t)
+    assert is_detectably_ribbon((1, 3, 1, -4))          # same base, t = 0
+    assert is_detectably_ribbon((4,))                   # base (k), no pairs
     assert is_detectably_ribbon((1, 1, 1, 1, -3, -3, -3))
     assert not is_detectably_ribbon((3, 5, -3, -5, 7))
 

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 from pretzel.cli import CSV_HEADER, main, record_to_json
 from pretzel import analyze
@@ -142,6 +145,24 @@ def test_embed_env_node_limit(monkeypatch, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("args, env_limit", [
+    (("embed", "1,1,-3", "--node-limit", "0"), None),
+    (("analyze", "1,1,1,1,-3,-3,-3", "--node-limit", "0"), None),
+    (("enumerate", "--max-strands", "3", "--max-param", "3",
+      "--node-limit", "-1"), None),
+    (("analyze", "1,1,-3"), "abc"),
+])
+def test_bad_node_limit_exit_2(args, env_limit):
+    env = dict(os.environ)
+    env.pop("PRETZELC_NODE_LIMIT", None)
+    if env_limit is not None:
+        env["PRETZELC_NODE_LIMIT"] = env_limit
+    r = run_cli(*args, env=env)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
 def test_embed_rank_cap_requires_limit(capsys):
     rc = main(["embed", "7,-7,5,-5,4"])  # rank 16 > 12
     err_out = capsys.readouterr()
@@ -240,6 +261,18 @@ def test_enumerate_cache_rerun_identical(tmp_path):
                 "--cache", str(cache), "--out", str(out2))
     assert r.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_enumerate_cache_same_for_any_jobs(tmp_path):
+    caches = []
+    for jobs in ("1", "2"):
+        cache = tmp_path / ("cache" + jobs)
+        r = run_cli("enumerate", "--max-strands", "5", "--max-param", "4",
+                    "--jobs", jobs, "--cache", str(cache),
+                    "--out", str(tmp_path / ("r%s.csv" % jobs)))
+        assert r.returncode == 0
+        caches.append((cache / "donaldson-cache.jsonl").read_bytes())
+    assert caches[0] and caches[0] == caches[1]
 
 
 def test_enumerate_truncated_cache_exit_2(tmp_path):

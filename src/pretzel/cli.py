@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
 parameter, link where a knot is required, unwritable output, bad cache
-file, node limit not a positive integer), 3 = search gave up at the node
-limit.  PRETZELC_NODE_LIMIT provides a default for --node-limit; only
-embed refuses rank > 12 without a limit.
+file or cache directory, enumeration bounds too small, node limit not a
+positive integer), 3 = search gave up at the node limit.
+PRETZELC_NODE_LIMIT provides a default for --node-limit; only embed
+refuses rank > 12 without a limit.
 
 JSON schema of an analysis record (all keys always present):
   input str, params [int], kind str, fibered str, subcase str,
@@ -40,7 +41,7 @@ import re
 import sys
 import time
 
-from .core import NotAKnotError, ZeroParameterError, parse_params
+from .core import NotAKnotError, parse_params
 from .classify import Status, analyze, class_record, knot_classes
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, wu_vertices)
@@ -74,7 +75,7 @@ def _node_limit_from(args):
 def _parse_or_die(text):
     try:
         return parse_params(text)
-    except (ZeroParameterError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         raise SystemExit(2)
 
@@ -128,11 +129,7 @@ def _family_text(fam):
 def cmd_analyze(args):
     params = _parse_or_die(args.params)
     start = time.monotonic()
-    try:
-        verdict = analyze(params, node_limit=_node_limit_from(args))
-    except ZeroParameterError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    verdict = analyze(params, node_limit=_node_limit_from(args))
     ms = int((time.monotonic() - start) * 1000)
     if verdict.status is Status.NOT_APPLICABLE:
         print("error: %s is a pretzel link, not a knot" % (args.params,),
@@ -163,7 +160,7 @@ def cmd_embed(args):
     params = _parse_or_die(args.params)
     try:
         g = negative_definite_graph(params)
-    except (NotAKnotError, ZeroParameterError) as exc:
+    except NotAKnotError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     limit = _node_limit_from(args)
@@ -201,7 +198,7 @@ def cmd_graph(args):
     params = _parse_or_die(args.params)
     try:
         g = negative_definite_graph(params)
-    except (NotAKnotError, ZeroParameterError) as exc:
+    except NotAKnotError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(to_dot(g, wu_vertices(g)))
@@ -262,7 +259,6 @@ def _load_cache(directory):
 
 
 def _save_cache(directory, cache, preloaded):
-    os.makedirs(directory, exist_ok=True)
     with open(_cache_path(directory), "a") as fh:
         for key, res in sorted(cache.items()):
             if key in preloaded:
@@ -294,11 +290,22 @@ def _worker(task):
 
 def cmd_enumerate(args):
     node_limit = _node_limit_from(args)
+    if args.cache:
+        try:
+            os.makedirs(args.cache, exist_ok=True)
+        except OSError as exc:
+            print("error: cannot create cache directory %s: %s"
+                  % (args.cache, exc), file=sys.stderr)
+            return 2
     cache = _load_cache(args.cache) if args.cache else {}
     if cache is None:
         return 2
     preloaded = set(cache)
-    classes = sorted(knot_classes(args.max_strands, args.max_param))
+    try:
+        classes = sorted(knot_classes(args.max_strands, args.max_param))
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     records = []
     if args.jobs > 1:

@@ -35,11 +35,15 @@ permutations) is broken in two layers:
 When sigma = 0 an extra Wu prune applies: the embedded Wu class is
 characteristic in the diagonal lattice (the sublattice has odd index), so
 all its coordinates are odd, and Q(w,w) = -k then forces them to be exactly
-±1.  If moreover no two Wu vertices are adjacent, the Wu rows must have
-pairwise disjoint supports partitioning all k columns with entries ±1, so
-placing them first (see _search_order) pins them completely and the
-remaining rows decompose along the blocks.  Agreement with pretzel.oracle
-is checked by test on every small corpus graph and on random samples.
+±1, tested once the last Wu row is placed.  If moreover no two Wu vertices
+are adjacent, the Wu rows must have pairwise disjoint supports partitioning
+all k columns with entries ±1; placed first (see _search_order), each is
+written down as the block of ones on the next fresh columns, and the
+remaining rows decompose along the blocks.
+
+Invariant: every pruning input (used columns, column groups, Wu tests) is
+recomputed from the placed rows, the search's only state besides a node
+count.  Agreement with pretzel.oracle is tested on small and random graphs.
 """
 
 from __future__ import annotations
@@ -235,59 +239,47 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     except SingularMod2Error:
         wu = None
 
-    sigma_zero = wu is not None and quadratic_form(q, [1 if i in wu else 0
-                                                       for i in range(k)]) == -k
-    wu_active = (cfg.wu_pruning and wu is not None and len(wu) > 0
-                 and sigma_zero)
+    # sigma = 0 with a nonempty Wu set
+    wu_active = cfg.wu_pruning and bool(wu) and quadratic_form(
+        q, [1 if i in wu else 0 for i in range(k)]) == -k
     wu_set = set(wu) if wu_active else set()
     wu_independent = wu_active and all(
         q[a][b] == 0 for a in wu for b in wu if a < b)
 
     order = _search_order(q, wu_set)
-    req = [[-q[order[s]][order[t]] for t in range(k)] for s in range(k)]
-    is_wu_step = [order[s] in wu_set for s in range(k)]
-    last_wu_step = max((s for s in range(k) if is_wu_step[s]), default=-1)
     rows: list[tuple[int, ...]] = []
-    state = {"nodes": 0, "used": 0, "wu_covered": 0, "wu_norm_placed": 0,
-             "group": [0] * k}
-
-    def limit_hit():
-        return cfg.node_limit is not None and state["nodes"] >= cfg.node_limit
+    nodes = 0
 
     def candidates(s):
         n = norms[order[s]]
-        u = state["used"]
-        wu_special = wu_independent and is_wu_step[s]
-        bound = 1 if wu_special else math.isqrt(n)
-        forbidden = state["wu_covered"] if wu_special else 0
-        if wu_special and state["wu_norm_placed"] + n > k:
+        # the used columns are a prefix, each nonzero (fresh-block rule)
+        cols = list(zip(*rows))
+        u = sum(1 for col in cols if any(col))
+        if wu_independent and s < len(wu_set):
+            # independent Wu rows are disjoint blocks of ones
+            if u + n <= k:
+                yield (0,) * u + (1,) * n + (0,) * (k - u - n)
             return
-        nprev = s
-        prev_rows = [rows[t] for t in range(s)]
-        needs = [req[s][t] for t in range(s)]
+        needs = [-q[order[s]][order[t]] for t in range(s)]
         # Columns with identical entries in every placed row are
         # interchangeable; canonicalize candidates by requiring entries to
-        # be non-increasing along each such group (iterated, so later rows
-        # see the refinement).
-        group = state["group"]
+        # be non-increasing along each such group.
         last_seen: dict = {}
-        prev_in_group = [-1] * k
+        prev_in_group = [-1] * u
         for c in range(u):
-            gid = group[c]
-            if gid in last_seen:
-                prev_in_group[c] = last_seen[gid]
-            last_seen[gid] = c
+            prev_in_group[c] = last_seen.get(cols[c], -1)
+            last_seen[cols[c]] = c
         # suffix norms of previous rows over the used region, for the
         # Cauchy-Schwarz cut (need - partial)^2 <= remaining * suffix
         suffix = []
-        for row in prev_rows:
+        for row in rows:
             sfx = [0] * (u + 1)
             for c in range(u - 1, -1, -1):
                 sfx[c] = sfx[c + 1] + row[c] * row[c]
             suffix.append(sfx)
 
         vec = [0] * k
-        partials = [0] * nprev
+        partials = [0] * s
 
         def fill_fresh(remaining, cap, col):
             # contiguous block of fresh columns, positive non-increasing
@@ -303,94 +295,57 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
                 vec[col] = 0
 
         def fill_used(c, remaining):
-            if limit_hit():
-                raise _LimitHit
             if c == u:
-                for t in range(nprev):
-                    if partials[t] != needs[t]:
-                        return
-                if remaining == 0:
-                    yield tuple(vec)
-                else:
-                    yield from fill_fresh(remaining, bound, u)
+                if partials == needs:
+                    yield from fill_fresh(remaining, remaining, u)
                 return
-            top = min(math.isqrt(remaining), bound)
-            lo = 0 if (forbidden >> c) & 1 else -top
-            hi = 0 if (forbidden >> c) & 1 else top
+            hi = top = math.isqrt(remaining)
             p = prev_in_group[c]
             if p >= 0 and vec[p] < hi:
                 hi = vec[p]
-            for a in range(lo, hi + 1):
+            for a in range(-top, hi + 1):
                 rem = remaining - a * a
-                ok = True
-                for t in range(nprev):
-                    pd = partials[t] + a * prev_rows[t][c]
-                    gap = needs[t] - pd
+                for t in range(s):
+                    gap = needs[t] - partials[t] - a * rows[t][c]
                     if gap * gap > rem * suffix[t][c + 1]:
-                        ok = False
                         break
-                if not ok:
-                    continue
-                vec[c] = a
-                for t in range(nprev):
-                    partials[t] += a * prev_rows[t][c]
-                yield from fill_used(c + 1, rem)
-                for t in range(nprev):
-                    partials[t] -= a * prev_rows[t][c]
-                vec[c] = 0
+                else:
+                    vec[c] = a
+                    for t in range(s):
+                        partials[t] += a * rows[t][c]
+                    yield from fill_used(c + 1, rem)
+                    for t in range(s):
+                        partials[t] -= a * rows[t][c]
+                    vec[c] = 0
 
         yield from fill_used(0, n)
 
     def place(s):
+        nonlocal nodes
         if s == k:
             return tuple(rows)
         for cand in candidates(s):
-            state["nodes"] += 1
-            if limit_hit():
+            nodes += 1
+            if cfg.node_limit is not None and nodes >= cfg.node_limit:
                 raise _LimitHit
-            saved = (state["used"], state["wu_covered"],
-                     state["wu_norm_placed"], state["group"])
-            support_top = max((c for c in range(k) if cand[c]), default=-1)
-            state["used"] = max(state["used"], support_top + 1)
-            if wu_independent and is_wu_step[s]:
-                mask = 0
-                for c in range(k):
-                    if cand[c]:
-                        mask |= 1 << c
-                state["wu_covered"] |= mask
-                state["wu_norm_placed"] += norms[order[s]]
-            # refine the column-history partition by this row's entries
-            old_group = state["group"]
-            renumber: dict = {}
-            new_group = [0] * k
-            for c in range(k):
-                key = (old_group[c], cand[c])
-                new_group[c] = renumber.setdefault(key, len(renumber))
-            state["group"] = new_group
             rows.append(cand)
-            ok = True
-            if wu_active and s == last_wu_step:
-                ok = _wu_completion_ok(rows, [t for t in range(s + 1)
-                                              if is_wu_step[t]],
-                                       state["used"], k)
-            if ok:
+            # after the last Wu row: the Wu class is embedded as a vector
+            # with every coordinate +-1
+            if s + 1 != len(wu_set) or all(abs(sum(col)) == 1
+                                           for col in zip(*rows)):
                 result = place(s + 1)
                 if result is not None:
                     return result
             rows.pop()
-            (state["used"], state["wu_covered"], state["wu_norm_placed"],
-             state["group"]) = saved
         return None
 
     try:
         found = place(0)
     except _LimitHit:
-        return EmbeddingResult(DonaldsonStatus.INCONCLUSIVE, None,
-                               state["nodes"])
+        return EmbeddingResult(DonaldsonStatus.INCONCLUSIVE, None, nodes)
 
     if found is None:
-        return EmbeddingResult(DonaldsonStatus.NOT_EMBEDDABLE, None,
-                               state["nodes"])
+        return EmbeddingResult(DonaldsonStatus.NOT_EMBEDDABLE, None, nodes)
 
     # undo the search reordering: row i of the witness is vertex i
     witness = [None] * k
@@ -403,17 +358,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     if math.isqrt(det) ** 2 != det:
         raise AssertionError("embedding found but |det Q| = %d is not a "
                              "perfect square" % det)
-    return EmbeddingResult(DonaldsonStatus.EMBEDDABLE, witness, state["nodes"])
-
-
-def _wu_completion_ok(rows, wu_steps, used, k):
-    if used != k:
-        return False
-    total = [0] * k
-    for s in wu_steps:
-        for c in range(k):
-            total[c] += rows[s][c]
-    return all(abs(x) == 1 for x in total)
+    return EmbeddingResult(DonaldsonStatus.EMBEDDABLE, witness, nodes)
 
 
 def verify_embedding(g_or_matrix, witness) -> bool:

@@ -18,6 +18,7 @@ from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig, Status,
                      find_embedding, graph_signature, is_fibered, mirror,
                      negative_definite_graph, signature, verify_embedding)
 from pretzel.oracle import exhaustive_embedding
+from pretzel.plumbing import StarGraph
 
 from conftest import random_knot_params
 from goeritz_oracle import goeritz_signature
@@ -139,6 +140,27 @@ def test_criterion_4_non_slice_propositions(big_enumeration):
     _ok(4, "non-slice propositions on %d classes: %d Type-2A and %d Type-3B "
            "fibered unitary classes all NotSlice, no 2B/3C (%.0fs)"
         % (len(records), len(t2a), len(t3b), elapsed))
+
+
+def test_search_work_on_8x7_certificates(big_enumeration):
+    # the enumeration caches one search per distinct graph; its node counts
+    # pin the candidate order, and every certificate must survive with the
+    # Wu prune switched off
+    _, cache, _ = big_enumeration
+    results = list(cache.values())
+    assert len(results) == 385
+    assert sum(r.nodes for r in results) == 7293
+    assert max(r.nodes for r in results) == 153
+    certificates = [key for key, r in cache.items()
+                    if r.status is DonaldsonStatus.NOT_EMBEDDABLE]
+    assert len(certificates) == 39
+    ranks = set()
+    for center, legs in certificates:
+        g = StarGraph(center, legs)
+        ranks.add(g.rank)
+        res = find_embedding(g, SearchConfig(wu_pruning=False))
+        assert res.status is DonaldsonStatus.NOT_EMBEDDABLE, (center, legs)
+    assert (min(ranks), max(ranks)) == (9, 26)
 
 
 # Composite (non-prime) classes may be whitelisted here per the enumeration

@@ -295,3 +295,22 @@ def test_enumerate_unwritable_output(tmp_path):
     r = run_cli("enumerate", "--max-strands", "3", "--max-param", "2",
                 "--out", str(tmp_path / "nope" / "r.csv"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("strands, param", [("2", "3"), ("3", "1")])
+def test_enumerate_bounds_too_small_exit_2(strands, param):
+    r = run_cli("enumerate", "--max-strands", strands, "--max-param", param)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
+def test_enumerate_cache_dir_cannot_be_created(tmp_path):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "r.csv"
+    r = run_cli("enumerate", "--max-strands", "3", "--max-param", "3",
+                "--cache", str(tmp_path / "afile" / "sub"), "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot create cache directory ")
+    assert "Traceback" not in r.stderr
+    assert not out.exists()

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretzel import (DonaldsonStatus, SearchConfig, SingularMod2Error,
-                     find_embedding, graph_signature, incidence_matrix,
-                     mirror, negative_definite_graph, project_embedding,
-                     signature, verify_embedding, wu_class, wu_vertices)
+                     bareiss_determinant, find_embedding, graph_signature,
+                     incidence_matrix, mirror, negative_definite_graph,
+                     project_embedding, signature, verify_embedding,
+                     wu_class, wu_vertices)
 from pretzel.lattice import quadratic_form
 from pretzel.oracle import exhaustive_embedding
 from pretzel.plumbing import StarGraph
@@ -223,6 +224,30 @@ def test_wu_pruning_consistency_random():
         assert bool(on) == bool(off), p
         checked += 1
     assert checked > 10
+
+
+def test_wu_completion_on_adjacent_wu_vertices():
+    # star graphs of pretzel knots have pairwise non-adjacent Wu vertices;
+    # triangles with sigma = 0 take the general Wu completion test instead
+    checked = embeddable = 0
+    for a, b, c in itertools.product(range(-5, 0), repeat=3):
+        q = [[a, 1, 1], [1, b, 1], [1, 1, c]]
+        minors = [[[-x for x in r[:m]] for r in q[:m]] for m in (1, 2, 3)]
+        if not all(bareiss_determinant(mi) > 0 for mi in minors):
+            continue
+        if bareiss_determinant(q) % 2 == 0:  # no Wu class
+            continue
+        w = wu_class(q)
+        if sum(w) < 2 or quadratic_form(q, w) != -3:
+            continue
+        res = find_embedding(q)
+        assert res.status is find_embedding(
+            q, SearchConfig(wu_pruning=False)).status, q
+        assert bool(res) == bool(exhaustive_embedding(q)), q
+        checked += 1
+        embeddable += bool(res)
+    assert (checked, embeddable) == (12, 3)
+    assert find_embedding([[-5, 1, 1], [1, -2, 1], [1, 1, -2]])
 
 
 def test_exhaustive_matches_default_random_stress():

@@ -8,9 +8,9 @@ Subcommands:
   enumerate  bounded enumeration of mutation classes with a CSV/JSONL report
 
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
-parameter, link where a knot is required, unwritable output, bad cache
-file or cache directory, enumeration bounds too small, node limit not a
-positive integer), 3 = search gave up at the node limit.
+parameter, link where a knot is required, unwritable output, bad or
+unreadable cache file, bad cache directory, enumeration bounds too small,
+node limit not a positive integer), 3 = search gave up at the node limit.
 PRETZELC_NODE_LIMIT provides a default for --node-limit; only embed
 refuses rank > 12 without a limit.
 
@@ -236,12 +236,19 @@ def _cache_path(directory):
 
 
 def _load_cache(directory):
-    """Cached search results, or None after reporting a malformed line."""
+    """Cached search results, or None after reporting a cache file that
+    cannot be opened or has a malformed line."""
     cache = {}
     path = _cache_path(directory)
     if not os.path.exists(path):
         return cache
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        print("error: cannot read cache file %s: %s" % (path, exc),
+              file=sys.stderr)
+        return None
+    with fh:
         for n, line in enumerate(fh, 1):
             try:
                 obj = json.loads(line)

@@ -18,6 +18,16 @@ Saveliev's formula (Sav00, Theorem 5) computes the knot signature from it:
 evaluated on the negative definite graph, where sign(Q) = -rank; the result
 is negated if the graph was built from the mirror.
 
+graph_signature walks the star graph's legs instead of eliminating the
+dense matrix.  Read from the outer end, the congruence at each leg vertex,
+a_j w_j + w_{j-1} + w_{j+1} = a_j (mod 2), fixes the bit nearer the centre,
+so each leg is settled by trying both values of its outer bit; each trial
+forces a centre bit, and the centre's own congruence picks the one
+consistent choice (it is unique iff det Q is odd).  Then Q(w,w) is the sum
+of the weights of the Wu vertices plus twice the number of edges inside
+the Wu set.  wu_class keeps the dense GF(2) elimination, for matrix inputs
+and the search, and is the test oracle for the walk.
+
 Search pruning.  The basis symmetry of the diagonal lattice (signed column
 permutations) is broken in two layers:
 
@@ -120,11 +130,42 @@ def quadratic_form(q, v, w=None) -> int:
                for i in range(len(q)) for j in range(len(q)) if v[i] and w[j])
 
 
+def _leg_trial(leg, outer):
+    """Wu bits of a leg from its outer bit `outer`, each leg congruence
+    fixing the bit nearer the centre: (the centre bit they force, the
+    first bit, the leg's share of Q(w,w) without the centre edge)."""
+    cur, nxt, share = outer, 0, 0
+    for a in reversed(leg):
+        share += a * cur + 2 * cur * nxt
+        cur, nxt = (a * (1 + cur) + nxt) & 1, cur
+    return cur, nxt, share
+
+
 def graph_signature(g: StarGraph) -> int:
-    """sign(Q) - Q(w,w) for a negative definite graph (no mirror fixup)."""
-    q = incidence_matrix(g)
-    w = wu_class(q)
-    return -len(q) - quadratic_form(q, w)
+    """sign(Q) - Q(w,w) for a negative definite graph (no mirror fixup),
+    with the Wu class w found by the leg walk.  Raises SingularMod2Error
+    when det Q is even."""
+    c = g.center_weight
+    trials = [(_leg_trial(leg, 0), _leg_trial(leg, 1)) for leg in g.legs]
+    qww = []
+    for w0 in (0, 1):
+        fits = [[t for t in pair if t[0] == w0] for pair in trials]
+        if not all(fits):
+            continue
+        free = [i for i, f in enumerate(fits) if len(f) == 2]
+        if len(free) > 1:
+            # two legs whose outer bits only enter the centre congruence
+            raise SingularMod2Error("incidence matrix singular mod 2")
+        picks = [f[0] for f in fits]
+        for legs in [picks] + [picks[:i] + [fits[i][1]] + picks[i + 1:]
+                               for i in free]:
+            # the centre congruence: c w0 + (first bit of each leg) = c
+            if (c * (w0 + 1) + sum(f for _, f, _ in legs)) % 2 == 0:
+                qww.append(c * w0 + sum(share + 2 * w0 * f
+                                        for _, f, share in legs))
+    if len(qww) != 1:
+        raise SingularMod2Error("incidence matrix singular mod 2")
+    return -g.rank - qww[0]
 
 
 def signature(params) -> int:

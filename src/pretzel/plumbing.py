@@ -20,6 +20,29 @@ mentions q > 2, but a +2 leg must be converted as well: the chain-length
 formula is consistent at q = 2 and the final graph needs all leg weights
 at most -2.
 
+Leaf-to-centre pivots.  A star graph is a tree, so symmetric elimination
+from the leaves towards the centre (Neumann's plumbing calculus, Trans.
+AMS 1981) never fills in.  Along a leg (a_1, ..., a_m), read from the
+centre out, the pivots are the continued fractions
+
+    p_m = a_m,   p_j = a_j - 1/p_{j+1},
+
+and the centre pivot is c - sum over the legs of 1/p_1.  Hence:
+
+* the graph is negative definite iff every pivot is < 0 (Sylvester);
+* |det Q| = |product of the pivots|;
+* the centre pivot equals e(Y) of the (possibly mirrored) parameters: a
+  single-vertex leg p contributes -1/p as in e(Y), and a chain of q-1
+  vertices of weight -2 has p_1 = -q/(q-1), contributing 1 - 1/q, which
+  with the centre's drop of 1 is the -1/q of a +q parameter.
+
+The pivots are carried as continuants, integer determinants of the leg
+tails (_eliminate_leaves), so that one O(rank) pass of integer arithmetic
+gives the definiteness of the reduced graph, and on the star graph the
+knot determinant and e(Y).  The dense
+routines (incidence_matrix, bareiss_determinant, is_negative_definite)
+stay for matrix inputs and as test oracles for this pass.
+
 All arithmetic is exact (big integers and fractions); nothing here touches
 floating point.
 """
@@ -84,10 +107,10 @@ def star_graph(params) -> StarGraph:
 
 
 def euler_number(params) -> Fraction:
-    """Exact Euler number e(Y) = ∓d - sum over non-unitary 1/p_i."""
-    p = _require_knot(params)
-    d, sign = unitary_count_and_sign(p)
-    return Fraction(-sign * d) - sum(Fraction(1, w) for w in nonunitary(p))
+    """Exact Euler number e(Y) = ∓d - sum over non-unitary 1/p_i, the
+    centre pivot of the star graph."""
+    det, prod, _ = _eliminate_leaves(star_graph(params))
+    return Fraction(-det, prod)
 
 
 def negative_definite_graph(params) -> StarGraph:
@@ -111,11 +134,41 @@ def negative_definite_graph(params) -> StarGraph:
             center -= 1
         else:
             legs.append((w,))
-    g = StarGraph(center, tuple(legs), mirrored)
-    if not is_negative_definite(incidence_matrix(g)):
+    return _require_negative_definite(StarGraph(center, tuple(legs), mirrored))
+
+
+def _require_negative_definite(g: StarGraph) -> StarGraph:
+    """g itself, after checking that every leaf-to-centre pivot is negative;
+    the guard against a construction bug."""
+    det, _, legs_negative = _eliminate_leaves(g)
+    if not (legs_negative and det > 0):
         raise PlumbingError("reduction failed to produce a negative definite "
-                            "graph for %r" % (params,))
+                            "graph: %r" % (g,))
     return g
+
+
+def _eliminate_leaves(g: StarGraph) -> tuple[int, int, bool]:
+    """One pass from the leaves to the centre: (det(-Q), the product P of
+    the legs' determinants in -Q, whether every leg pivot of Q is
+    negative).  The centre pivot of Q is -det(-Q) / P, so Q is negative
+    definite iff the legs are and det(-Q) > 0.
+
+    For -Q the pivot at leg vertex j is D_j / D_{j+1}, where D_j is the
+    determinant of the leg tail from j outward (D_{m+1} = 1, D_{m+2} = 0,
+    D_j = -a_j D_{j+1} - D_{j+2}).  Expanding det(-Q) along the centre
+    gives -c * P - sum over legs of D2 * (the other legs' D1), with D1,
+    D2 the tails from the first and second leg vertex.  Both formulas are
+    polynomial identities, so det(-Q) is right even when some pivot is
+    zero or positive.
+    """
+    prod, cross, negative = 1, 0, True
+    for leg in g.legs:
+        d1, d2 = 1, 0
+        for a in reversed(leg):
+            d1, d2 = -a * d1 - d2, d1
+            negative = negative and d1 > 0
+        prod, cross = prod * d1, cross * d1 + d2 * prod
+    return -g.center_weight * prod - cross, prod, negative
 
 
 def incidence_matrix(g: StarGraph) -> list[list[int]]:
@@ -165,9 +218,11 @@ def bareiss_determinant(matrix) -> int:
 
 
 def determinant(params) -> int:
-    """Knot determinant |det Q| of the star graph's incidence matrix,
-    in exact integer arithmetic.  Always odd for a knot."""
-    return abs(bareiss_determinant(incidence_matrix(star_graph(params))))
+    """Knot determinant |det Q| of the star graph's incidence matrix, in
+    exact integer arithmetic: |c * prod p_i - sum_i prod_{j != i} p_j| for
+    center c and single-vertex legs p_i.  Always odd for a knot."""
+    det, _, _ = _eliminate_leaves(star_graph(params))
+    return abs(det)
 
 
 def is_negative_definite(matrix) -> bool:

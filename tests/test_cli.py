@@ -314,3 +314,15 @@ def test_enumerate_cache_dir_cannot_be_created(tmp_path):
     assert r.stderr.startswith("error: cannot create cache directory ")
     assert "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_enumerate_cache_file_is_a_directory(tmp_path):
+    (tmp_path / "cache" / "donaldson-cache.jsonl").mkdir(parents=True)
+    out = tmp_path / "r.csv"
+    r = run_cli("enumerate", "--max-strands", "3", "--max-param", "3",
+                "--cache", str(tmp_path / "cache"), "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert "Traceback" not in r.stderr
+    assert not out.exists()

@@ -76,6 +76,25 @@ def test_wu_singular_mod2_rejected():
         wu_class([[-4, 2], [2, -2]])
 
 
+def test_graph_signature_walk_agrees_with_dense_wu_class():
+    rng = random.Random(7070)
+    singular = 0
+    for _ in range(1000):
+        g = negative_definite_graph(random_knot_params(rng, max_abs=12))
+        for d in range(4):
+            h = StarGraph(g.center_weight + d, g.legs)
+            q = incidence_matrix(h)
+            try:
+                want = -len(q) - quadratic_form(q, wu_class(q))
+            except SingularMod2Error:
+                singular += 1
+                with pytest.raises(SingularMod2Error):
+                    graph_signature(h)
+                continue
+            assert graph_signature(h) == want, h
+    assert singular > 0
+
+
 # ---------------------------------------------------------------------------
 # signatures
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pretzel import (NotAKnotError, bareiss_determinant,
+from pretzel import (NotAKnotError, PlumbingError, bareiss_determinant,
                      determinant, euler_number, incidence_matrix,
                      is_negative_definite, mirror, negative_definite_graph,
                      normalize, star_graph, to_dot)
-from pretzel.plumbing import StarGraph
+from pretzel.plumbing import (StarGraph, _eliminate_leaves,
+                              _require_negative_definite)
 
 from conftest import random_knot_params
 
@@ -184,6 +185,37 @@ def test_is_negative_definite_examples():
     assert not is_negative_definite([[-2, 1], [1, 2]])
     assert not is_negative_definite([[2, 0], [0, 2]])
     assert not is_negative_definite([[-1, 2], [2, -1]])  # det < 0
+
+
+def test_leaf_to_centre_pass_agrees_with_dense_oracles():
+    rng = random.Random(6060)
+    indefinite = 0
+    for _ in range(1000):
+        p = random_knot_params(rng, max_abs=12)
+        nd = negative_definite_graph(p)
+        # raising the center weight by 1..3 makes some graphs indefinite
+        for d in range(4):
+            g = StarGraph(nd.center_weight + d, nd.legs)
+            m = incidence_matrix(g)
+            det, _, legs_negative = _eliminate_leaves(g)
+            definite = legs_negative and det > 0
+            assert definite == is_negative_definite(m), g
+            assert det == (-1) ** g.rank * bareiss_determinant(m), g
+            indefinite += not definite
+        s = star_graph(p)
+        assert determinant(p) == abs(bareiss_determinant(incidence_matrix(s)))
+        assert euler_number(p) == s.center_weight - sum(
+            Fraction(1, w) for (w,) in s.legs), p
+    assert indefinite > 0
+
+
+def test_definiteness_guard_raises_on_indefinite_graph():
+    g = StarGraph(-1, ((-2,), (-2,)))
+    assert not is_negative_definite(incidence_matrix(g))
+    with pytest.raises(PlumbingError):
+        _require_negative_definite(g)
+    ok = StarGraph(-2, ((-2,), (-2,)))
+    assert _require_negative_definite(ok) is ok
 
 
 def test_dot_export():

@@ -42,6 +42,34 @@ permutations) is broken in two layers:
   is preserved.  The fresh-block rule is the special case for the
   untouched-column group.
 
+Candidates for a row of norm n are enumerated in lexicographic order over
+the used columns (values ascending), cut by Cauchy-Schwarz: after column c,
+each placed row t must still be reachable, gap_t^2 <= remaining * S_t(c+1),
+with gap_t = need_t - (partial pairing so far), remaining the norm left and
+S_t(c+1) the squared norm of row t past c.  Rows are sparse (a row of norm
+n has at most n nonzeros), so the enumeration walks the zeros of a
+candidate forward in a loop and opens a recursion frame only at a nonzero
+entry: at each column it branches on the negative values, steps on with 0,
+and branches on the positive values on the way back, which is ascending
+order at every column.  Only the evaluations of the cut that can fail are
+made:
+
+* before column 0, gap_t^2 <= n * S_t(0), once per candidate row; S_t(0) is
+  the norm of row t, since placed rows live in the used columns;
+* a value a at column c changes gap_t only for the rows with a nonzero
+  entry there, and those are tested for every value, 0 included;
+* a row with entry 0 at c keeps gap_t and S_t(c+1) = S_t(c), so for a = 0
+  its test is the one it passed at the column before (or before column 0);
+  for a != 0 only remaining drops, which matters only for the open rows
+  (gap_t != 0) and bounds |a| <= isqrt(remaining - ceil(gap_t^2 / S_t(c)));
+  closed rows pass trivially.
+
+So the candidates, their order and the recursion at every nonzero entry
+are exactly those of testing every placed row at every column.  The
+positive answers are checked entrywise (verify_embedding sums -M M^T over
+each column's nonzeros), and |det Q| is asserted to be a square, taken
+from the leaf-to-centre pass for star graphs.
+
 When sigma = 0 an extra Wu prune applies: the embedded Wu class is
 characteristic in the diagonal lattice (the sublattice has odd index), so
 all its coordinates are odd, and Q(w,w) = -k then forces them to be exactly
@@ -51,9 +79,11 @@ all k columns with entries ±1; placed first (see _search_order), each is
 written down as the block of ones on the next fresh columns, and the
 remaining rows decompose along the blocks.
 
-Invariant: every pruning input (used columns, column groups, Wu tests) is
-recomputed from the placed rows, the search's only state besides a node
-count.  Agreement with pretzel.oracle is tested on small and random graphs.
+Invariant: every pruning input (used columns, column groups, column
+supports, suffix norms, gaps, Wu tests) is recomputed inside candidates()
+from the placed rows, kept dense and as their nonzero entries; besides
+them the search keeps only a node count.  Agreement with pretzel.oracle is
+tested on small and random graphs.
 """
 
 from __future__ import annotations
@@ -61,10 +91,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from bisect import bisect_left
+from itertools import compress
 
 from .core import as_params
-from .plumbing import (StarGraph, bareiss_determinant, incidence_matrix,
-                       negative_definite_graph)
+from .plumbing import (StarGraph, _eliminate_leaves, bareiss_determinant,
+                       incidence_matrix, negative_definite_graph)
 
 
 class SingularMod2Error(ArithmeticError):
@@ -288,39 +320,52 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         q[a][b] == 0 for a in wu for b in wu if a < b)
 
     order = _search_order(q, wu_set)
+    # the placed rows, and the nonzero entries of each as (column, entry)
     rows: list[tuple[int, ...]] = []
+    nonzeros: list[tuple[tuple[int, int], ...]] = []
     nodes = 0
 
     def candidates(s):
         n = norms[order[s]]
         # the used columns are a prefix, each nonzero (fresh-block rule)
-        cols = list(zip(*rows))
-        u = sum(1 for col in cols if any(col))
+        u = max((nz[-1][0] + 1 for nz in nonzeros), default=0)
         if wu_independent and s < len(wu_set):
             # independent Wu rows are disjoint blocks of ones
             if u + n <= k:
                 yield (0,) * u + (1,) * n + (0,) * (k - u - n)
             return
-        needs = [-q[order[s]][order[t]] for t in range(s)]
+        qv = q[order[s]]
+        # need - partial pairing with each placed row, before column 0
+        gap = [-qv[order[t]] for t in range(s)]
+        # the Cauchy-Schwarz cut before the first column: a placed row
+        # lies in the used region, so its suffix norm there is its norm
+        for t, g in compress(enumerate(gap), gap):
+            if g * g > n * norms[order[t]]:
+                return
         # Columns with identical entries in every placed row are
         # interchangeable; canonicalize candidates by requiring entries to
         # be non-increasing along each such group.
+        cols = list(zip(*rows))
         last_seen: dict = {}
         prev_in_group = [-1] * u
         for c in range(u):
             prev_in_group[c] = last_seen.get(cols[c], -1)
             last_seen[cols[c]] = c
-        # suffix norms of previous rows over the used region, for the
-        # Cauchy-Schwarz cut (need - partial)^2 <= remaining * suffix
-        suffix = []
-        for row in rows:
-            sfx = [0] * (u + 1)
-            for c in range(u - 1, -1, -1):
-                sfx[c] = sfx[c + 1] + row[c] * row[c]
-            suffix.append(sfx)
+        # For the cut gap^2 <= remaining * suffix norm (module docstring):
+        # support[c] holds the nonzero entries of used column c as (row,
+        # entry, the row's squared norm past c), tails[t][i] the squared
+        # norm of row t from its i-th nonzero on.
+        support = [[] for _ in range(u)]
+        tails = []
+        for t, nz in enumerate(nonzeros):
+            tail = norms[order[t]]
+            tails.append([tail])
+            for c, e in nz:
+                tail -= e * e
+                support[c].append((t, e, tail))
+                tails[t].append(tail)
 
         vec = [0] * k
-        partials = [0] * s
 
         def fill_fresh(remaining, cap, col):
             # contiguous block of fresh columns, positive non-increasing
@@ -335,29 +380,63 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
                 yield from fill_fresh(remaining - a * a, a, col + 1)
                 vec[col] = 0
 
-        def fill_used(c, remaining):
-            if c == u:
-                if partials == needs:
-                    yield from fill_fresh(remaining, remaining, u)
-                return
-            hi = top = math.isqrt(remaining)
-            p = prev_in_group[c]
-            if p >= 0 and vec[p] < hi:
-                hi = vec[p]
-            for a in range(-top, hi + 1):
-                rem = remaining - a * a
-                for t in range(s):
-                    gap = needs[t] - partials[t] - a * rows[t][c]
-                    if gap * gap > rem * suffix[t][c + 1]:
+        def fill_used(start, remaining):
+            # The zero walk from column start: zeros move no gap, so the open
+            # rows (gap != 0) hold along it.  The steps run the negatives
+            # on the way out, the fresh block (None) if the walk reaches
+            # it, the positives on the way back.
+            opened = list(compress(enumerate(gap), gap))
+            top = math.isqrt(remaining)
+            out, back = [], []
+            for c in range(start, u):
+                hi = top
+                p = prev_in_group[c]
+                if p >= 0 and vec[p] < hi:
+                    hi = vec[p]
+                # an open row with entry 0 here bounds |a|; its suffix norm
+                # starts at its first nonzero from c on, and (c,) sorts
+                # before every entry (c', e) with c' >= c
+                cap = top
+                for t, g in opened:
+                    if not rows[t][c]:
+                        sfx = tails[t][bisect_left(nonzeros[t], (c,))]
+                        b = math.isqrt(remaining - (g * g + sfx - 1) // sfx)
+                        if b < cap:
+                            cap = b
+                out.append((c, -cap, hi if hi < 0 else -1))
+                back.append((c, 1, hi if hi < cap else cap))
+                if hi < 0:
+                    break
+                for t, _, sfx in support[c]:
+                    if gap[t] * gap[t] > remaining * sfx:
                         break
                 else:
-                    vec[c] = a
-                    for t in range(s):
-                        partials[t] += a * rows[t][c]
-                    yield from fill_used(c + 1, rem)
-                    for t in range(s):
-                        partials[t] -= a * rows[t][c]
-                    vec[c] = 0
+                    continue
+                break
+            else:
+                out.append(None)
+            back.reverse()
+            for step in out + back:
+                if step is None:
+                    if not opened:
+                        yield from fill_fresh(remaining, remaining, u)
+                    continue
+                c, lo, hi = step
+                col = support[c]
+                for a in range(lo, hi + 1):
+                    rem = remaining - a * a
+                    for t, e, sfx in col:
+                        g = gap[t] - a * e
+                        if g * g > rem * sfx:
+                            break
+                    else:
+                        vec[c] = a
+                        for t, e, _ in col:
+                            gap[t] -= a * e
+                        yield from fill_used(c + 1, rem)
+                        for t, e, _ in col:
+                            gap[t] += a * e
+                        vec[c] = 0
 
         yield from fill_used(0, n)
 
@@ -370,6 +449,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             if cfg.node_limit is not None and nodes >= cfg.node_limit:
                 raise _LimitHit
             rows.append(cand)
+            nonzeros.append(tuple(compress(enumerate(cand), cand)))
             # after the last Wu row: the Wu class is embedded as a vector
             # with every coordinate +-1
             if s + 1 != len(wu_set) or all(abs(sum(col)) == 1
@@ -378,6 +458,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
                 if result is not None:
                     return result
             rows.pop()
+            nonzeros.pop()
         return None
 
     try:
@@ -395,7 +476,10 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     witness = tuple(witness)
     if not verify_embedding(q, witness):
         raise AssertionError("search produced an invalid embedding")
-    det = abs(bareiss_determinant(q))
+    if isinstance(g_or_matrix, StarGraph):
+        det = abs(_eliminate_leaves(g_or_matrix)[0])
+    else:
+        det = abs(bareiss_determinant(q))
     if math.isqrt(det) ** 2 != det:
         raise AssertionError("embedding found but |det Q| = %d is not a "
                              "perfect square" % det)
@@ -403,17 +487,21 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
 
 
 def verify_embedding(g_or_matrix, witness) -> bool:
-    """True iff -M M^T equals Q entrywise."""
+    """True iff the witness is k rows of length k and -M M^T equals Q
+    entrywise.  -M M^T is summed column by column over the nonzero
+    entries, in O(k^2 + sum over columns of nnz^2)."""
     q = _matrix_of(g_or_matrix)
     k = len(q)
-    if len(witness) != k:
+    if len(witness) != k or any(len(row) != k for row in witness):
         return False
-    for i in range(k):
-        for j in range(k):
-            dot = sum(a * b for a, b in zip(witness[i], witness[j]))
-            if -dot != q[i][j]:
-                return False
-    return True
+    gram = [[0] * k for _ in range(k)]
+    for col in zip(*witness):
+        nonzero = [(i, e) for i, e in enumerate(col) if e]
+        for i, a in nonzero:
+            row = gram[i]
+            for j, b in nonzero:
+                row[j] -= a * b
+    return gram == q
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,13 @@ def _require_knot(params):
 def star_graph(params) -> StarGraph:
     """The star plumbing graph of a pretzel knot: center ∓d for d unitaries
     of sign ±, one single-vertex leg per non-unitary parameter."""
-    p = _require_knot(params)
+    return _star(_require_knot(params))
+
+
+def _star(p) -> StarGraph:
+    """star_graph of an already validated parameter list."""
     d, sign = unitary_count_and_sign(p)
-    center = -sign * d
-    return StarGraph(center, tuple((w,) for w in nonunitary(p)))
+    return StarGraph(-sign * d, tuple((w,) for w in nonunitary(p)))
 
 
 def euler_number(params) -> Fraction:
@@ -117,7 +120,8 @@ def negative_definite_graph(params) -> StarGraph:
     """The canonical negative definite plumbing graph of the knot (mirroring
     first when e(Y) > 0).  The result is verified negative definite."""
     p = _require_knot(params)
-    e = euler_number(p)
+    det, prod, _ = _eliminate_leaves(_star(p))
+    e = Fraction(-det, prod)
     mirrored = False
     if e == 0:
         # |H_1| = |e| * |product of p_i| is odd and nonzero for a knot.

@@ -6,6 +6,7 @@ The two enumeration-driven criteria share one bounded enumeration run
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from pretzel.plumbing import StarGraph
 
 from conftest import random_knot_params
 from goeritz_oracle import goeritz_signature
+from gram_oracle import dense_verify_embedding
 from test_lattice import (KNOWN_1075_ROWS, matches_up_to_canonical_symmetry,
                           rank5_corpus_graphs)
 
@@ -171,6 +173,48 @@ def test_search_work_on_8x7_certificates(big_enumeration):
         res = find_embedding(g, SearchConfig(wu_pruning=False))
         assert res.status is DonaldsonStatus.NOT_EMBEDDABLE, (center, legs)
     assert (min(ranks), max(ranks)) == (9, 26)
+    # the node counts do not pin which witness each search finds
+    witnesses = sorted((key, r.witness) for key, r in cache.items()
+                       if r.status is DonaldsonStatus.EMBEDDABLE)
+    assert len(witnesses) == 346
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
+        "cf0c642bffc4ffef08d2f426527fba4ea5bdbbd7d8e66b00e351bee96b2cbf38"
+
+
+def searched_graph(key, witness):
+    """The graph a cached witness was found on.  The cache key sorts the
+    legs; the witness rows keep the build order, one leg per run of rows
+    whose consecutive rows pair to -1 (an edge, Q = 1)."""
+    center, legs = key
+    dot = lambda i, j: sum(a * b for a, b in zip(witness[i], witness[j]))
+    runs, start = [], 1
+    for v in range(2, len(witness) + 1):
+        if v == len(witness) or dot(v - 1, v) != -1:
+            runs.append(tuple(-dot(i, i) for i in range(start, v)))
+            start = v
+    assert sorted(runs) == list(legs), key
+    return StarGraph(center, tuple(runs))
+
+
+def test_sparse_verifier_matches_dense_oracle_on_8x7_witnesses(
+        big_enumeration):
+    _, cache, _ = big_enumeration
+    rng = random.Random(77)
+    checked = 0
+    for key, res in sorted(cache.items()):
+        if res.status is not DonaldsonStatus.EMBEDDABLE:
+            continue
+        g = searched_graph(key, res.witness)
+        assert verify_embedding(g, res.witness)
+        assert dense_verify_embedding(g, res.witness)
+        i, c = rng.randrange(g.rank), rng.randrange(g.rank)
+        for step in (-1, 1):
+            bad = [list(r) for r in res.witness]
+            bad[i][c] += step
+            assert not verify_embedding(g, bad)
+            assert not dense_verify_embedding(g, bad)
+        checked += 1
+    assert checked == 346
 
 
 # Composite (non-prime) classes may be whitelisted here per the enumeration

@@ -16,6 +16,7 @@ from pretzel.plumbing import StarGraph
 
 from conftest import CORPUS, random_knot_params
 from goeritz_oracle import goeritz_signature
+from gram_oracle import dense_verify_embedding
 
 # the standard published embedding of the 10_75 plumbing lattice:
 # center e1+e2+e3+e4, legs -e1-e2+e4, -e1+e3-e4, -e1+e2-e3
@@ -195,6 +196,32 @@ def test_verify_embedding_trivials():
     bad[2][0] = -bad[2][0]
     assert verify_embedding(g, KNOWN_1075_ROWS)
     assert not verify_embedding(g, tuple(tuple(r) for r in bad))
+    # zip must not truncate a short row into a match
+    assert not verify_embedding([[-1, 0], [0, -2]], ((1,), (0, 1, 1)))
+
+
+def test_verify_embedding_matches_dense_oracle_on_random_inputs():
+    rng = random.Random(2024)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        q = [[-sum(a * b for a, b in zip(r1, r2)) for r2 in m] for r1 in m]
+        assert verify_embedding(q, m) and dense_verify_embedding(q, m)
+        shape = rng.choice(("entry", "non-square", "ragged", "too-short"))
+        bad = [list(r) for r in m]
+        if shape == "entry":
+            bad[rng.randrange(k)][rng.randrange(k)] += rng.choice((-1, 1))
+        elif shape == "non-square":
+            width = rng.choice([w for w in range(k + 3) if w != k])
+            bad = [r[:width] + [0] * (width - k) for r in bad]
+        elif shape == "ragged":
+            bad[rng.randrange(k)].append(0)
+        else:
+            bad.pop()
+        # a moved entry changes a diagonal entry of -M M^T by an odd amount
+        # and the other shapes are wrong, so every case must fail
+        assert not verify_embedding(q, bad)
+        assert not dense_verify_embedding(q, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pretzel import (NotAKnotError, PlumbingError, bareiss_determinant,
                      determinant, euler_number, incidence_matrix,
                      is_negative_definite, mirror, negative_definite_graph,
                      normalize, star_graph, to_dot)
+from pretzel import plumbing
 from pretzel.plumbing import (StarGraph, _eliminate_leaves,
                               _require_negative_definite)
 
@@ -76,6 +77,20 @@ def test_knot_only_ops_reject_links():
     for op in (euler_number, determinant, negative_definite_graph):
         with pytest.raises(NotAKnotError):
             op((2, 2, 3))
+
+
+def test_negative_definite_graph_validates_once(monkeypatch):
+    # the mirror branch (e(Y) = 41/30 > 0) validates the list once, and bad
+    # input still raises from that one check
+    calls = []
+    require = plumbing._require_knot
+    monkeypatch.setattr(plumbing, "_require_knot",
+                        lambda params: calls.append(params) or require(params))
+    g = negative_definite_graph((-1, -1, 2, 3, -5))
+    assert len(calls) == 1 and g.mirrored
+    with pytest.raises(NotAKnotError):
+        negative_definite_graph((2, 2, 3))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

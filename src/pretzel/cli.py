@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
 parameter, link where a knot is required, unwritable output, bad or
 unreadable cache file, bad cache directory, enumeration bounds too small,
-node limit not a positive integer), 3 = search gave up at the node limit.
+node limit or --jobs not a positive integer), 3 = search gave up at the
+node limit.
 PRETZELC_NODE_LIMIT provides a default for --node-limit; only embed
 refuses rank > 12 without a limit.
 
@@ -296,6 +297,10 @@ def _worker(task):
 
 
 def cmd_enumerate(args):
+    if args.jobs < 1:
+        print("error: --jobs must be a positive integer, got %d" % args.jobs,
+              file=sys.stderr)
+        return 2
     node_limit = _node_limit_from(args)
     if args.cache:
         try:
@@ -326,7 +331,6 @@ def cmd_enumerate(args):
         for ms in classes:
             records.append(class_record(ms, node_limit=node_limit,
                                         cache=cache))
-    records.sort(key=lambda r: r.class_key)
 
     lines = [CSV_HEADER] if args.format == "csv" else []
     for rec in records:

@@ -39,10 +39,10 @@ class Kind(Enum):
 
 def as_params(params) -> tuple[int, ...]:
     """Validate and freeze a parameter sequence."""
-    p = tuple(int(x) for x in params)
+    p = tuple(map(int, params))
     if len(p) == 0:
         raise ValueError("parameter list must have at least one entry")
-    if any(x == 0 for x in p):
+    if 0 in p:
         raise ZeroParameterError(
             "zero parameter: connected sum; see 2-bridge classifications")
     return p

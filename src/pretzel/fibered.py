@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (Kind, NotAKnotError, as_params, classify_type, normalize,
+from .core import (Kind, NotAKnotError, classify_type, normalize,
                    nonunitary, unitary_count_and_sign)
 
 
@@ -264,13 +264,13 @@ def is_fibered(params) -> FiberVerdict:
     knots are isotopic to Type 3 pretzels whose parameters this package does
     not compute, so they return REDUCES_TO_TYPE3 rather than a guess.
     """
-    p = normalize(as_params(params))
+    p = normalize(params)
     return _decide(p)
 
 
 def fiber_subcase(params) -> Subcase:
     """The Gabai subcase of a pretzel knot (raises NotAKnotError on links)."""
-    p = normalize(as_params(params))
+    p = normalize(params)
     v = _decide(p)
     if v.status is FiberStatus.NOT_A_KNOT:
         raise NotAKnotError("links have no fiberedness subcase")

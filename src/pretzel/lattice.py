@@ -43,32 +43,28 @@ permutations) is broken in two layers:
   untouched-column group.
 
 Candidates for a row of norm n are enumerated in lexicographic order over
-the used columns (values ascending), cut by Cauchy-Schwarz: after column c,
-each placed row t must still be reachable, gap_t^2 <= remaining * S_t(c+1),
-with gap_t = need_t - (partial pairing so far), remaining the norm left and
-S_t(c+1) the squared norm of row t past c.  Rows are sparse (a row of norm
-n has at most n nonzeros), so the enumeration walks the zeros of a
-candidate forward in a loop and opens a recursion frame only at a nonzero
-entry: at each column it branches on the negative values, steps on with 0,
-and branches on the positive values on the way back, which is ascending
-order at every column.  Only the evaluations of the cut that can fail are
-made:
+the used columns (values ascending).  Rows are sparse (a row of norm n has
+at most n nonzeros), so the enumeration walks the zeros of a candidate
+forward in a loop and opens a recursion frame only at a nonzero entry: at
+each column it branches on the negative values, steps on with 0, and
+branches on the positive values on the way back, which is ascending order
+at every column.  A candidate is yielded only where the walk reaches the
+fresh columns with every gap_t = need_t - (partial pairing so far) at 0
+and the fresh block takes exactly the norm left.
 
-* before column 0, gap_t^2 <= n * S_t(0), once per candidate row; S_t(0) is
-  the norm of row t, since placed rows live in the used columns;
-* a value a at column c changes gap_t only for the rows with a nonzero
-  entry there, and those are tested for every value, 0 included;
-* a row with entry 0 at c keeps gap_t and S_t(c+1) = S_t(c), so for a = 0
-  its test is the one it passed at the column before (or before column 0);
-  for a != 0 only remaining drops, which matters only for the open rows
-  (gap_t != 0) and bounds |a| <= isqrt(remaining - ceil(gap_t^2 / S_t(c)));
-  closed rows pass trivially.
-
-So the candidates, their order and the recursion at every nonzero entry
-are exactly those of testing every placed row at every column.  The
-positive answers are checked entrywise (verify_embedding sums -M M^T over
-each column's nonzeros), and |det Q| is asserted to be a square, taken
-from the leaf-to-centre pass for star graphs.
+Cauchy-Schwarz cuts the search: after column c, each placed row t must
+still be reachable, gap_t^2 <= remaining * S_t(c+1), with remaining the
+norm left and S_t(c+1) the squared norm of row t past c; a branch that
+fails it can yield no candidate.  So the cut is pruning only: it changes
+how much work the search does, never which candidates it yields or in what
+order.  It is evaluated for the rows with a nonzero in the column being
+filled, for every value there (0 included; a failure at 0 ends the zero
+walk).  A row with entry 0 at c keeps its gap; its test waits for its next
+nonzero column or the gap test at the fresh block, which costs less than
+testing it at every column.  The positive answers are checked entrywise
+(verify_embedding sums -M M^T over each column's nonzeros), and |det Q| is
+asserted to be a square, taken from the leaf-to-centre pass for star
+graphs.
 
 When sigma = 0 an extra Wu prune applies: the embedded Wu class is
 characteristic in the diagonal lattice (the sublattice has odd index), so
@@ -79,11 +75,11 @@ all k columns with entries ±1; placed first (see _search_order), each is
 written down as the block of ones on the next fresh columns, and the
 remaining rows decompose along the blocks.
 
-Invariant: every pruning input (used columns, column groups, column
-supports, suffix norms, gaps, Wu tests) is recomputed inside candidates()
-from the placed rows, kept dense and as their nonzero entries; besides
-them the search keeps only a node count.  Agreement with pretzel.oracle is
-tested on small and random graphs.
+Invariant: every pruning input (used columns, column groups, the support
+of each used column with its rows' suffix norms, gaps, Wu tests) is
+recomputed inside candidates() from the placed rows, kept dense and as
+their nonzero entries; besides them the search keeps only a node count.
+Agreement with pretzel.oracle is tested on small and random graphs.
 """
 
 from __future__ import annotations
@@ -91,10 +87,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from bisect import bisect_left
 from itertools import compress
 
-from .core import as_params
 from .plumbing import (StarGraph, _eliminate_leaves, bareiss_determinant,
                        incidence_matrix, negative_definite_graph)
 
@@ -203,7 +197,7 @@ def graph_signature(g: StarGraph) -> int:
 def signature(params) -> int:
     """Knot signature via Saveliev's formula on the negative definite graph,
     negated when the graph came from the mirror."""
-    g = negative_definite_graph(as_params(params))
+    g = negative_definite_graph(params)
     s = graph_signature(g)
     return -s if g.mirrored else s
 
@@ -313,8 +307,8 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         wu = None
 
     # sigma = 0 with a nonempty Wu set
-    wu_active = cfg.wu_pruning and bool(wu) and quadratic_form(
-        q, [1 if i in wu else 0 for i in range(k)]) == -k
+    wu_active = cfg.wu_pruning and bool(wu) and sum(
+        q[a][b] for a in wu for b in wu) == -k
     wu_set = set(wu) if wu_active else set()
     wu_independent = wu_active and all(
         q[a][b] == 0 for a in wu for b in wu if a < b)
@@ -337,11 +331,6 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         qv = q[order[s]]
         # need - partial pairing with each placed row, before column 0
         gap = [-qv[order[t]] for t in range(s)]
-        # the Cauchy-Schwarz cut before the first column: a placed row
-        # lies in the used region, so its suffix norm there is its norm
-        for t, g in compress(enumerate(gap), gap):
-            if g * g > n * norms[order[t]]:
-                return
         # Columns with identical entries in every placed row are
         # interchangeable; canonicalize candidates by requiring entries to
         # be non-increasing along each such group.
@@ -353,17 +342,13 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             last_seen[cols[c]] = c
         # For the cut gap^2 <= remaining * suffix norm (module docstring):
         # support[c] holds the nonzero entries of used column c as (row,
-        # entry, the row's squared norm past c), tails[t][i] the squared
-        # norm of row t from its i-th nonzero on.
+        # entry, the row's squared norm past c).
         support = [[] for _ in range(u)]
-        tails = []
         for t, nz in enumerate(nonzeros):
             tail = norms[order[t]]
-            tails.append([tail])
             for c, e in nz:
                 tail -= e * e
                 support[c].append((t, e, tail))
-                tails[t].append(tail)
 
         vec = [0] * k
 
@@ -381,11 +366,9 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
                 vec[col] = 0
 
         def fill_used(start, remaining):
-            # The zero walk from column start: zeros move no gap, so the open
-            # rows (gap != 0) hold along it.  The steps run the negatives
-            # on the way out, the fresh block (None) if the walk reaches
-            # it, the positives on the way back.
-            opened = list(compress(enumerate(gap), gap))
+            # The zero walk from column start: zeros move no gap.  The steps
+            # run the negatives on the way out, the fresh block (None) if
+            # the walk reaches it, the positives on the way back.
             top = math.isqrt(remaining)
             out, back = [], []
             for c in range(start, u):
@@ -393,18 +376,8 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
                 p = prev_in_group[c]
                 if p >= 0 and vec[p] < hi:
                     hi = vec[p]
-                # an open row with entry 0 here bounds |a|; its suffix norm
-                # starts at its first nonzero from c on, and (c,) sorts
-                # before every entry (c', e) with c' >= c
-                cap = top
-                for t, g in opened:
-                    if not rows[t][c]:
-                        sfx = tails[t][bisect_left(nonzeros[t], (c,))]
-                        b = math.isqrt(remaining - (g * g + sfx - 1) // sfx)
-                        if b < cap:
-                            cap = b
-                out.append((c, -cap, hi if hi < 0 else -1))
-                back.append((c, 1, hi if hi < cap else cap))
+                out.append((c, -top, hi if hi < 0 else -1))
+                back.append((c, 1, hi))
                 if hi < 0:
                     break
                 for t, _, sfx in support[c]:
@@ -418,7 +391,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             back.reverse()
             for step in out + back:
                 if step is None:
-                    if not opened:
+                    if not any(gap):
                         yield from fill_fresh(remaining, remaining, u)
                     continue
                 c, lo, hi = step

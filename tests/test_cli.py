@@ -305,6 +305,20 @@ def test_enumerate_bounds_too_small_exit_2(strands, param):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_enumerate_jobs_below_one_exit_2(jobs, tmp_path, capsys, monkeypatch):
+    def no_classes(*args):
+        raise AssertionError("classes generated before --jobs was checked")
+    monkeypatch.setattr("pretzel.cli.knot_classes", no_classes)
+    out = tmp_path / "r.csv"
+    rc = main(["enumerate", "--max-strands", "3", "--max-param", "3",
+               "--jobs", jobs, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: --jobs must be a positive integer, got %s\n" % jobs
+    assert not out.exists()
+
+
 def test_enumerate_cache_dir_cannot_be_created(tmp_path):
     (tmp_path / "afile").write_text("")
     out = tmp_path / "r.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -179,6 +180,166 @@ def test_witness_soundness_on_random_knots():
             assert verify_embedding(g, res.witness)
             found += 1
     assert found > 10
+
+
+# Graphs of rank 27-45 at the 5x15 bound, above the 8x7 ranks (at most 26):
+# every certificate there and, at each rank, the embeddable graph with the
+# most nodes.  Each row is the class the graph was first built from, the
+# [status, nodes] of its search and its key, copied from
+# bench/reference/search-5x15.json.  The key sorts the legs while the leg
+# order decides the search order, so the graph is built from the class.
+HIGH_RANK_5X15 = [
+    ((-15, -12, 15), "embeddable", 28,
+     "-2;-15;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -9, -3, 7, 11), "not_embeddable", 25,
+     "-3;-11;-7;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -9, -3, 11, 13), "not_embeddable", 25,
+     "-3;-13;-11;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, 5, 7, 15), "not_embeddable", 26,
+     "-3;-15;-13;-2,-2,-2,-2;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -11, -1, 3, 15), "not_embeddable", 25,
+     "-3;-15;-3;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -7, -5, 3, 15), "not_embeddable", 25,
+     "-3;-15;-3;-2,-2,-2,-2;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -11, -1, 5, 15), "not_embeddable", 25,
+     "-3;-15;-5;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -11, -1, 3, 3), "not_embeddable", 25,
+     "-3;-3;-3;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -3, 3, 7), "not_embeddable", 26,
+     "-3;-7;-3;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-11, -9, -7, 5, 7), "not_embeddable", 25,
+     "-3;-7;-5;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -7, -7, 5, 7), "not_embeddable", 25,
+     "-3;-7;-5;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-9, -9, -9, 5, 9), "not_embeddable", 25,
+     "-3;-9;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -9, -3, 7, 9), "not_embeddable", 25,
+     "-3;-9;-7;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -12, -1, -1, 15), "not_embeddable", 125,
+     "-4;-15;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, 7), "not_embeddable", 27,
+     "-2;-7;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -4, 11, 13), "embeddable", 40,
+     "-3;-13;-11;-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -14, 15), "embeddable", 30,
+     "-2;-15;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-11, -9, -9, 5, 11), "not_embeddable", 27,
+     "-3;-11;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -11, -3, 7, 11), "not_embeddable", 27,
+     "-3;-11;-7;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -7, 9, 9, 11), "not_embeddable", 27,
+     "-3;-13;-7;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -5, 5, 7), "not_embeddable", 28,
+     "-3;-7;-5;-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-11, -9, -9, 5, 9), "not_embeddable", 27,
+     "-3;-9;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -9, -7, 5, 9), "not_embeddable", 27,
+     "-3;-9;-5;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -10, -7, 9, 11), "not_embeddable", 27,
+     "-3;-11;-9;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -2, 13, 15), "embeddable", 44,
+     "-3;-15;-13;-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-11, -11, -9, 11, 11), "embeddable", 31,
+     "-3;-11;-11;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-11, -11, -9, 5, 11), "not_embeddable", 29,
+     "-3;-11;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -7, 5, 11), "not_embeddable", 29,
+     "-3;-11;-5;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -9, -9, 5, 13), "not_embeddable", 29,
+     "-3;-13;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -3, 7, 13), "not_embeddable", 29,
+     "-3;-13;-7;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -15, -1, 3, 5), "not_embeddable", 29,
+     "-3;-5;-3;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -3, 3, 7), "not_embeddable", 30,
+     "-3;-7;-3;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -7, 7, 7), "not_embeddable", 30,
+     "-3;-7;-7;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -4, 13, 15), "embeddable", 46,
+     "-3;-15;-13;-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-11, -11, -11, 11, 11), "embeddable", 33,
+     "-3;-11;-11;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -9, 5, 13), "not_embeddable", 31,
+     "-3;-13;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -13, -7, 5, 13), "not_embeddable", 31,
+     "-3;-13;-5;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -9, -9, 5, 15), "not_embeddable", 31,
+     "-3;-15;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -15, -3, 7, 15), "not_embeddable", 31,
+     "-3;-15;-7;-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -5, 5, 7), "not_embeddable", 32,
+     "-3;-7;-5;-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -9, 7, 9), "not_embeddable", 31,
+     "-3;-9;-7;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -6, 13, 15), "embeddable", 48,
+     "-3;-15;-13;-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -11, 11, 11), "embeddable", 35,
+     "-3;-11;-11;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -11, -11, 7, 11), "not_embeddable", 33,
+     "-3;-11;-7;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -11, -9, 5, 15), "not_embeddable", 33,
+     "-3;-15;-5;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -7, 5, 15), "not_embeddable", 33,
+     "-3;-15;-5;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -7, 7, 7), "not_embeddable", 34,
+     "-3;-7;-7;-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -15, -5, 7, 9), "not_embeddable", 33,
+     "-3;-9;-7;-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -12, -9, 11, 13), "not_embeddable", 32,
+     "-3;-13;-11;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -8, 13, 15), "embeddable", 50,
+     "-3;-15;-13;-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -11, -11, 11, 11), "embeddable", 37,
+     "-3;-11;-11;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -13, -11, 7, 13), "not_embeddable", 35,
+     "-3;-13;-7;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -9, 7, 9), "not_embeddable", 35,
+     "-3;-9;-7;-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -10, 13, 15), "embeddable", 52,
+     "-3;-15;-13;-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -11, 7, 11), "not_embeddable", 37,
+     "-3;-11;-7;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -11, 11, 13), "embeddable", 39,
+     "-3;-13;-11;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -11, 7, 15), "not_embeddable", 37,
+     "-3;-15;-7;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-13, -13, -13, 9, 9), "not_embeddable", 37,
+     "-3;-9;-9;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -12, 13, 15), "embeddable", 54,
+     "-3;-15;-13;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -13, 13, 13), "embeddable", 41,
+     "-3;-13;-13;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -13, -13, 7, 13), "not_embeddable", 39,
+     "-3;-13;-7;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -14, -13, 13, 15), "embeddable", 55,
+     "-3;-15;-13;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -15, -13, 13, 15), "embeddable", 43,
+     "-3;-15;-13;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -15, -13, 7, 15), "not_embeddable", 41,
+     "-3;-15;-7;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -15, -14, 15, 15), "embeddable", 46,
+     "-3;-15;-15;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+    ((-15, -15, -15, 15, 15), "embeddable", 45,
+     "-3;-15;-15;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2;-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2"),
+]
+
+
+def test_search_work_on_high_rank_5x15_graphs():
+    ranks, witnesses = set(), []
+    for ms, status, nodes, key in HIGH_RANK_5X15:
+        g = negative_definite_graph(ms)
+        legs = ";".join(",".join(map(str, leg)) for leg in sorted(g.legs))
+        assert "%d;%s" % (g.center_weight, legs) == key
+        ranks.add(g.rank)
+        res = find_embedding(g)
+        assert (res.status.value, res.nodes) == (status, nodes), key
+        if res:
+            witnesses.append((key, res.witness))
+    assert (min(ranks), max(ranks)) == (27, 45)
+    assert (len(HIGH_RANK_5X15), len(witnesses)) == (66, 19)
+    # the node counts do not pin which witness each search finds
+    assert hashlib.sha256(repr(sorted(witnesses)).encode()).hexdigest() == \
+        "474ca496862c4267d3398d87c55da10961c25d7447ca29d5de5301765420ddbc"
 
 
 def test_node_limit_inconclusive():

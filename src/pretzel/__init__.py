@@ -15,7 +15,8 @@ from .core import (Kind, MutationClass, NotAKnotError, ZeroParameterError,
                    as_params, classify_type, mirror, mutation_class,
                    normalize, parse_params)
 from .fibered import (FiberStatus, FiberVerdict, Subcase, aux_link,
-                      even_last_orientations, fiber_subcase, is_fibered)
+                      class_fiberable, even_last_orientations, fiber_subcase,
+                      is_fibered)
 from .plumbing import (PlumbingError, StarGraph, bareiss_determinant,
                        determinant, euler_number, incidence_matrix,
                        is_negative_definite, negative_definite_graph,
@@ -25,7 +26,7 @@ from .lattice import (DonaldsonStatus, EmbeddingResult, ProjectedLattice,
                       graph_signature, project_embedding, signature,
                       verify_embedding, wu_class, wu_vertices)
 from .classify import (ClassRecord, ObstructionReport, RibbonFamily, Status,
-                       Verdict, analyze, class_fiberable, class_record,
+                       Verdict, analyze, class_record,
                        detectably_ribbon_reduce, enumerate_classes,
                        is_detectably_ribbon, is_exceptional, knot_classes,
                        match_family)

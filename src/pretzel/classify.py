@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (Kind, MutationClass, as_params, classify_type,
-                   mirror, mutation_class, normalize,
-                   unitary_count_and_sign)
-from .fibered import (FiberStatus, FiberVerdict, Subcase, _order_free,
-                      _unique_min, is_fibered)
+                   mirror, mutation_class, normalize)
+from .fibered import (FiberStatus, FiberVerdict, Subcase, class_fiberable,
+                      is_fibered)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, graph_signature)
 from .plumbing import determinant, negative_definite_graph
@@ -290,42 +289,15 @@ def knot_classes(max_strands: int, max_abs_param: int):
                          "max_abs_param >= 2")
     values = [v for v in range(-max_abs_param, max_abs_param + 1) if v != 0]
     for n in range(3, max_strands + 1):
-        for combo in itertools.combinations_with_replacement(values, n):
-            ms = tuple(sorted(combo))
+        # the values ascend, so each combination is already a sorted tuple
+        for ms in itertools.combinations_with_replacement(values, n):
             if not _normalized_multiset(ms):
                 continue
             if not classify_type(ms).is_knot():
                 continue
-            if ms != mutation_class(ms).mirror_normalized:
+            if ms > tuple(-x for x in reversed(ms)):
                 continue
             yield ms
-
-
-def class_fiberable(ms):
-    """(fiberable, subcase) for a mutation class: is some ordering fibered?
-
-    Decided by sign counting.  Type 1 and the unbalanced subcases (2A, 3A)
-    do not depend on the order at all.  In the balanced cases the auxiliary
-    link of a suitable ordering realizes any cyclic ±2 word with the given
-    sign counts, so only the counts matter; the equivalence with the full
-    ordering scan (tests/fiber_scan_oracle.py) is property-tested.
-    """
-    kind = classify_type(ms)
-    if not kind.is_knot():
-        raise ValueError("not a knot class")
-    free = _order_free(ms, kind)
-    if free is not None:
-        return free
-    if kind is Kind.TYPE2:
-        d, _ = unitary_count_and_sign(ms)
-        t = sum(1 for x in ms if x % 2 == 1 and abs(x) > 1 and x > 0)
-        r = sum(1 for x in ms if x % 2 == 1 and abs(x) > 1 and x < 0)
-        return (d == 0 and t == r and t >= 1), Subcase.T2B
-    plus2 = sum(1 for x in ms if abs(x) > 1 and x < 0)
-    minus2 = sum(1 for x in ms if abs(x) > 1 and x > 0)
-    if plus2 == minus2:
-        return _unique_min(ms), Subcase.T3C
-    return abs(plus2 - minus2) == 1 and plus2 + minus2 >= 3, Subcase.T3B
 
 
 @dataclass(frozen=True)

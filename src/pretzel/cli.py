@@ -266,11 +266,13 @@ def _load_cache(directory):
     return cache
 
 
-def _save_cache(directory, cache, preloaded):
-    with open(_cache_path(directory), "a") as fh:
+def _save_cache(directory, cache):
+    """Write every entry, sorted, to a temporary file and rename it over the
+    cache file, so an interrupted save leaves the old file whole."""
+    path = _cache_path(directory)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
         for key, res in sorted(cache.items()):
-            if key in preloaded:
-                continue
             fh.write(json.dumps({
                 "center": key[0], "legs": [list(leg) for leg in key[1]],
                 "status": res.status.value,
@@ -278,14 +280,15 @@ def _save_cache(directory, cache, preloaded):
                 if res.witness else None,
                 "nodes": res.nodes,
             }, sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 _WORKER_CACHE: dict | None = None
 
 
-def _init_worker(preloaded):
+def _init_worker(cache):
     global _WORKER_CACHE
-    _WORKER_CACHE = dict(preloaded)
+    _WORKER_CACHE = dict(cache)
 
 
 def _worker(task):
@@ -312,7 +315,6 @@ def cmd_enumerate(args):
     cache = _load_cache(args.cache) if args.cache else {}
     if cache is None:
         return 2
-    preloaded = set(cache)
     try:
         classes = sorted(knot_classes(args.max_strands, args.max_param))
     except ValueError as exc:
@@ -350,7 +352,12 @@ def cmd_enumerate(args):
         sys.stdout.write(text)
 
     if args.cache:
-        _save_cache(args.cache, cache, preloaded)
+        try:
+            _save_cache(args.cache, cache)
+        except OSError as exc:
+            print("error: cannot write cache file %s: %s"
+                  % (_cache_path(args.cache), exc), file=sys.stderr)
+            return 2
 
     counts = {}
     for rec in records:

@@ -36,11 +36,13 @@ means all parameters except the unique even one):
            parameter of minimal absolute value (ties are not fibered).
 
 Note on 2B: the classification also lists L' = ±P(2,-2,...,2,-2,2,-4) as
-fibered.  Matching that model forces the positive/negative odd counts to
-differ by one, which for a knot means exactly one unitary parameter, yet
-there are provably no Type 2B fibered pretzel knots with unitary parameters.
-We therefore honor the (2,-4)-tailed model only for knots without unitary
-parameters, where it is unreachable.  See also KNOWN-TENSION below.
+fibered.  That model is not coded, because no Type 2B knot reaches it.  Its
+head (2,-2,...,2) has one more ±2 of one sign than of the other, so a knot
+matching it has positive and negative odd non-unitary counts that differ by
+one.  Without unitary parameters 2B makes those counts equal; with them, the
+theorem that no Type 2B fibered pretzel knot has unitary parameters rules
+the model out.  test_two_minus_four_clause_gated pins P(1,-3,5,-7,-4), whose
+L' is literally (2,-2,2,-4), as not fibered.  See also KNOWN-TENSION below.
 
 KNOWN-TENSION: P(7,-5,-7,5,4) is fibered according to its source, but its
 auxiliary link (-2,2,2,-2,4) matches no model under the comparison moves
@@ -102,12 +104,7 @@ def even_last_orientations(params) -> list[tuple[int, ...]]:
             if rot[-1] % 2 == 0:
                 out.append(rot)
                 break
-    seen, uniq = set(), []
-    for seq in out:
-        if seq not in seen:
-            seen.add(seq)
-            uniq.append(seq)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def aux_link(params, kind: Kind) -> tuple[int, ...]:
@@ -166,12 +163,6 @@ def matches_arbitrary_tail_model(word) -> bool:
     return len(word) >= 3 and len(word) % 2 == 1 and _matches_model(word)
 
 
-def matches_two_minus_four_model(word) -> bool:
-    """word = ±P(2,-2,...,2,-2,2,-4) up to the comparison moves."""
-    return len(word) >= 2 and len(word) % 2 == 0 and \
-        _matches_model(word, -4)
-
-
 def matches_extra_minus_two_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,-2), at least one (2,-2) pair, up to the
     comparison moves."""
@@ -222,11 +213,9 @@ def _decide(params) -> FiberVerdict:
     free = _order_free(params, kind)
     if free is not None:
         return _verdict(*free)
+    words = [aux_link(seq, kind) for seq in even_last_orientations(params)]
 
     if kind is Kind.TYPE2:
-        d, _ = unitary_count_and_sign(params)
-        words = [aux_link(seq, Kind.TYPE2)
-                 for seq in _even_last_full(params, Kind.TYPE2)]
         # The sign of the even-parameter slot of L' is ambiguous in the
         # sources (the Type 3 analogue demonstrably needs the flipped sign),
         # so the alternating test runs for both.  This can only widen the
@@ -236,24 +225,13 @@ def _decide(params) -> FiberVerdict:
         if any(is_alternating_model(w)
                or is_alternating_model(w[:-1] + (-w[-1],)) for w in words):
             return FiberVerdict(FiberStatus.REDUCES_TO_TYPE3, Subcase.T2C)
-        ok = any(matches_arbitrary_tail_model(w) for w in words) or \
-            (d == 0 and any(matches_two_minus_four_model(w) for w in words))
-        return _verdict(ok, Subcase.T2B)
+        return _verdict(any(matches_arbitrary_tail_model(w) for w in words),
+                        Subcase.T2B)
 
-    words = [aux_link(seq, Kind.TYPE3)
-             for seq in _even_last_full(params, Kind.TYPE3)]
     if any(is_alternating_model(w) for w in words):
         return _verdict(_unique_min(params), Subcase.T3C)
     return _verdict(any(matches_extra_minus_two_model(w) for w in words),
                     Subcase.T3B)
-
-
-def _even_last_full(params, kind):
-    """Full parameter tuples (unitaries first) for each even-last
-    orientation, ready for aux_link."""
-    d, sign = unitary_count_and_sign(params)
-    units = (sign,) * d
-    return [units + seq for seq in even_last_orientations(params)]
 
 
 def is_fibered(params) -> FiberVerdict:
@@ -270,8 +248,37 @@ def is_fibered(params) -> FiberVerdict:
 
 def fiber_subcase(params) -> Subcase:
     """The Gabai subcase of a pretzel knot (raises NotAKnotError on links)."""
-    p = normalize(params)
-    v = _decide(p)
+    v = is_fibered(params)
     if v.status is FiberStatus.NOT_A_KNOT:
         raise NotAKnotError("links have no fiberedness subcase")
     return v.subcase
+
+
+# ---------------------------------------------------------------------------
+# class level
+
+def class_fiberable(ms):
+    """(fiberable, subcase) for a mutation class: is some ordering fibered?
+
+    Decided by sign counting.  Type 1 and the unbalanced subcases (2A, 3A)
+    do not depend on the order at all.  In the balanced cases the auxiliary
+    link of a suitable ordering realizes any cyclic ±2 word with the given
+    sign counts, so only the counts matter; the equivalence with the full
+    ordering scan (tests/fiber_scan_oracle.py) is property-tested.
+    """
+    kind = classify_type(ms)
+    if not kind.is_knot():
+        raise ValueError("not a knot class")
+    free = _order_free(ms, kind)
+    if free is not None:
+        return free
+    if kind is Kind.TYPE2:
+        d, _ = unitary_count_and_sign(ms)
+        t = sum(1 for x in ms if x % 2 == 1 and abs(x) > 1 and x > 0)
+        r = sum(1 for x in ms if x % 2 == 1 and abs(x) > 1 and x < 0)
+        return (d == 0 and t == r and t >= 1), Subcase.T2B
+    plus2 = sum(1 for x in ms if abs(x) > 1 and x < 0)
+    minus2 = sum(1 for x in ms if abs(x) > 1 and x > 0)
+    if plus2 == minus2:
+        return _unique_min(ms), Subcase.T3C
+    return abs(plus2 - minus2) == 1 and plus2 + minus2 >= 3, Subcase.T3B

@@ -148,14 +148,6 @@ def wu_vertices(g_or_matrix) -> tuple[int, ...]:
     return tuple(i for i, b in enumerate(w) if b)
 
 
-def quadratic_form(q, v, w=None) -> int:
-    """Q(v, w) for integer coordinate vectors."""
-    if w is None:
-        w = v
-    return sum(q[i][j] * v[i] * w[j]
-               for i in range(len(q)) for j in range(len(q)) if v[i] and w[j])
-
-
 def _leg_trial(leg, outer):
     """Wu bits of a leg from its outer bit `outer`, each leg congruence
     fixing the bit nearer the centre: (the centre bit they force, the

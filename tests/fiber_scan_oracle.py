@@ -1,5 +1,5 @@
 """
-Test-only reference for classify.class_fiberable: decide class-level
+Test-only reference for fibered.class_fiberable: decide class-level
 fiberedness by running is_fibered on every ordering of the multiset, one
 per cyclic-rotation-and-reversal class.
 """

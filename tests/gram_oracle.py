@@ -1,6 +1,7 @@
 """
-Test-only reference for lattice.verify_embedding: the dense entrywise Gram
-check, one full dot product of witness rows per entry of Q.
+Test-only dense lattice arithmetic: the reference for
+lattice.verify_embedding (the entrywise Gram check, one full dot product of
+witness rows per entry of Q) and the quadratic form Q(v, w).
 """
 
 from pretzel import StarGraph, incidence_matrix
@@ -22,3 +23,11 @@ def dense_verify_embedding(g_or_matrix, witness):
             if -dot != q[i][j]:
                 return False
     return True
+
+
+def quadratic_form(q, v, w=None) -> int:
+    """Q(v, w) for integer coordinate vectors."""
+    if w is None:
+        w = v
+    return sum(q[i][j] * v[i] * w[j]
+               for i in range(len(q)) for j in range(len(q)) if v[i] and w[j])

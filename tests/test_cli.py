@@ -340,3 +340,20 @@ def test_enumerate_cache_file_is_a_directory(tmp_path):
     assert r.stderr.splitlines() == [r.stderr.strip()]
     assert "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_enumerate_cache_save_fails_exit_2(tmp_path):
+    cache = tmp_path / "cache"
+    r = run_cli("enumerate", "--max-strands", "3", "--max-param", "3",
+                "--cache", str(cache), "--out", str(tmp_path / "a.csv"))
+    assert r.returncode == 0
+    path = cache / "donaldson-cache.jsonl"
+    old = path.read_bytes()
+    (cache / "donaldson-cache.jsonl.tmp").mkdir()
+    # the larger bound adds entries, so a save would change the file
+    r = run_cli("enumerate", "--max-strands", "4", "--max-param", "3",
+                "--cache", str(cache), "--out", str(tmp_path / "b.csv"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write cache file ")
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert path.read_bytes() == old

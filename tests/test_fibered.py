@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretzel import (FiberStatus, Kind, NotAKnotError, Subcase, aux_link,
-                     classify_type, fiber_subcase, is_fibered, mirror,
-                     normalize)
+                     classify_type, fiber_subcase, is_fibered, knot_classes,
+                     mirror, normalize)
 from pretzel.fibered import (even_last_orientations, is_alternating_model,
                              matches_arbitrary_tail_model,
-                             matches_extra_minus_two_model,
-                             matches_two_minus_four_model)
+                             matches_extra_minus_two_model)
 
 from conftest import random_knot_params
+from fiber_scan_oracle import distinct_orderings
 
 
 def fib(params):
@@ -65,13 +66,6 @@ def test_arbitrary_tail_model():
     assert matches_arbitrary_tail_model((2, 2, -2))  # tail slot may be +-2
     assert not matches_arbitrary_tail_model((2, -2, 2, 8))  # even length
     assert not matches_arbitrary_tail_model((-2, 2, 2, -2, 4))
-
-
-def test_two_minus_four_model():
-    assert matches_two_minus_four_model((2, -2, 2, -4))
-    assert matches_two_minus_four_model((-2, 2, -2, 4))  # global negation
-    assert not matches_two_minus_four_model((2, -2, 2, 4))
-    assert not matches_two_minus_four_model((2, 2, -2, -4))
 
 
 def test_extra_minus_two_model():
@@ -146,8 +140,8 @@ def test_type2c_reduces():
 def test_two_minus_four_clause_gated():
     """P(1,-3,5,-7,-4) has auxiliary link (2,-2,2,-4), literally the
     (2,-4)-tailed model, but honoring it would contradict the theorem that
-    no Type 2B fibered pretzel knot has unitary parameters; the clause is
-    gated to unitary-free knots."""
+    no Type 2B fibered pretzel knot has unitary parameters; without
+    unitaries no 2B knot matches it, so the model is not coded at all."""
     assert aux_link((1, -3, 5, -7, -4), Kind.TYPE2) == (2, -2, 2, -4)
     assert fiber_subcase((1, -3, 5, -7, -4)) is Subcase.T2B
     assert fib((1, -3, 5, -7, -4)) is FiberStatus.NOT_FIBERED
@@ -164,6 +158,20 @@ def test_type3_examples():
     assert fib((1, 2, 3, -5)) is FiberStatus.FIBERED
     assert fiber_subcase((1, 2, 3, -5)) is Subcase.T3A
     assert fib((3, 5, 7, 2)) is FiberStatus.NOT_FIBERED   # 3A with diff 4
+
+
+def test_every_ordering_pinned_6x6():
+    """The verdict of every ordering of every 6x6 class, 9,074 in all,
+    pinned by digest: a change to the decision table or to the model
+    comparison that moves any single ordering is noticed here."""
+    rows = []
+    for ms in knot_classes(6, 6):
+        for o in distinct_orderings(ms):
+            v = is_fibered(o)
+            rows.append((o, v.status.value, v.subcase.value))
+    assert len(rows) == 9074
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "629cf4e0230dbdf4a2dbc972aeb4ddd69e9212fbf2ca303d53615bcff86a766a"
 
 
 def test_links_get_not_a_knot():

@@ -11,13 +11,12 @@ from pretzel import (DonaldsonStatus, SearchConfig, SingularMod2Error,
                      incidence_matrix, mirror, negative_definite_graph,
                      project_embedding, signature, verify_embedding,
                      wu_class, wu_vertices)
-from pretzel.lattice import quadratic_form
 from pretzel.oracle import exhaustive_embedding
 from pretzel.plumbing import StarGraph
 
 from conftest import CORPUS, random_knot_params
 from goeritz_oracle import goeritz_signature
-from gram_oracle import dense_verify_embedding
+from gram_oracle import dense_verify_embedding, quadratic_form
 
 # the standard published embedding of the 10_75 plumbing lattice:
 # center e1+e2+e3+e4, legs -e1-e2+e4, -e1+e3-e4, -e1+e2-e3

@@ -10,10 +10,12 @@ Subcommands:
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
 parameter, link where a knot is required, unwritable output, bad or
 unreadable cache file, bad cache directory, enumeration bounds too small,
-node limit or --jobs not a positive integer), 3 = search gave up at the
-node limit.
-PRETZELC_NODE_LIMIT provides a default for --node-limit; only embed
-refuses rank > 12 without a limit.
+node limit or --jobs not a positive integer, embed --exhaustive above
+rank 12), 3 = search gave up at the node limit.
+One node-limit rule: --node-limit (default PRETZELC_NODE_LIMIT, else no
+limit) caps the search the same way in analyze, embed and enumerate, at any
+rank.  embed --exhaustive refuses rank > 12 with or without a limit (exit
+2): the oracle lists every vector of a norm before it counts a node.
 
 JSON schema of an analysis record (all keys always present):
   input str, params [int], kind str, fibered str, subcase str,
@@ -48,7 +50,7 @@ from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, wu_vertices)
 from .plumbing import negative_definite_graph, to_dot
 
-RANK_LIMIT_WITHOUT_CAP = 12
+EXHAUSTIVE_RANK_LIMIT = 12
 
 CSV_HEADER = ("class_key,kind,subcase,fibered,det,det_square,sigma,"
               "donaldson,family,exceptional,status,nodes,ms")
@@ -165,10 +167,12 @@ def cmd_embed(args):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     limit = _node_limit_from(args)
-    if g.rank > RANK_LIMIT_WITHOUT_CAP and limit is None:
-        print("error: graph rank %d exceeds %d; pass --node-limit (or set "
-              "PRETZELC_NODE_LIMIT) to search anyway"
-              % (g.rank, RANK_LIMIT_WITHOUT_CAP), file=sys.stderr)
+    if args.exhaustive and g.rank > EXHAUSTIVE_RANK_LIMIT:
+        # the oracle lists every vector of a norm before it counts a node,
+        # so a node limit does not bound its work
+        print("error: graph rank %d exceeds %d, the largest the exhaustive "
+              "oracle takes" % (g.rank, EXHAUSTIVE_RANK_LIMIT),
+              file=sys.stderr)
         return 2
     if args.exhaustive:
         # imported here so that other subcommands do not pay for importing it
@@ -340,6 +344,15 @@ def cmd_enumerate(args):
                      else _jsonl_row(rec))
     text = "\n".join(lines) + "\n"
 
+    # the cache first: a run that exits 2 leaves no report behind
+    if args.cache:
+        try:
+            _save_cache(args.cache, cache)
+        except OSError as exc:
+            print("error: cannot write cache file %s: %s"
+                  % (_cache_path(args.cache), exc), file=sys.stderr)
+            return 2
+
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -350,14 +363,6 @@ def cmd_enumerate(args):
             return 2
     else:
         sys.stdout.write(text)
-
-    if args.cache:
-        try:
-            _save_cache(args.cache, cache)
-        except OSError as exc:
-            print("error: cannot write cache file %s: %s"
-                  % (_cache_path(args.cache), exc), file=sys.stderr)
-            return 2
 
     counts = {}
     for rec in records:

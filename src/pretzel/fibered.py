@@ -213,7 +213,10 @@ def _decide(params) -> FiberVerdict:
     free = _order_free(params, kind)
     if free is not None:
         return _verdict(*free)
-    words = [aux_link(seq, kind) for seq in even_last_orientations(params)]
+    # The other orientation's word is this one reversed and rotated by one
+    # (the last entry stays last), and every model test below is closed
+    # under both moves, so one word decides.
+    w = aux_link(even_last_orientations(params)[0], kind)
 
     if kind is Kind.TYPE2:
         # The sign of the even-parameter slot of L' is ambiguous in the
@@ -222,16 +225,13 @@ def _decide(params) -> FiberVerdict:
         # REDUCES_TO_TYPE3 outcome, never steal a fibered verdict: the
         # arbitrary-tail model needs equal +-2 counts in the head while the
         # flipped alternating test needs them to differ by one.
-        if any(is_alternating_model(w)
-               or is_alternating_model(w[:-1] + (-w[-1],)) for w in words):
+        if is_alternating_model(w) or is_alternating_model(w[:-1] + (-w[-1],)):
             return FiberVerdict(FiberStatus.REDUCES_TO_TYPE3, Subcase.T2C)
-        return _verdict(any(matches_arbitrary_tail_model(w) for w in words),
-                        Subcase.T2B)
+        return _verdict(matches_arbitrary_tail_model(w), Subcase.T2B)
 
-    if any(is_alternating_model(w) for w in words):
+    if is_alternating_model(w):
         return _verdict(_unique_min(params), Subcase.T3C)
-    return _verdict(any(matches_extra_minus_two_model(w) for w in words),
-                    Subcase.T3B)
+    return _verdict(matches_extra_minus_two_model(w), Subcase.T3B)
 
 
 def is_fibered(params) -> FiberVerdict:

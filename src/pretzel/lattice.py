@@ -66,19 +66,35 @@ testing it at every column.  The positive answers are checked entrywise
 asserted to be a square, taken from the leaf-to-centre pass for star
 graphs.
 
-When sigma = 0 an extra Wu prune applies: the embedded Wu class is
-characteristic in the diagonal lattice (the sublattice has odd index), so
-all its coordinates are odd, and Q(w,w) = -k then forces them to be exactly
-±1, tested once the last Wu row is placed.  If moreover no two Wu vertices
-are adjacent, the Wu rows must have pairwise disjoint supports partitioning
-all k columns with entries ±1; placed first (see _search_order), each is
-written down as the block of ones on the next fresh columns, and the
-remaining rows decompose along the blocks.
+When sigma = 0 and no two Wu vertices are adjacent, an extra Wu prune
+applies.  The embedded Wu class is characteristic in the diagonal lattice
+(the sublattice has odd index), so all its k coordinates are odd, and its
+norm -Q(w,w) = k, the sum of the Wu norms, leaves each column exactly one
+nonzero entry, ±1, among the Wu rows: their supports partition all k
+columns.  Placed first, each Wu row is written down as the block of ones
+on the next fresh columns, and the remaining rows decompose along the
+blocks.  Wu first matters: the Wu rows are then single candidates, so the
+counting arguments about the Wu set become immediate dead ends instead of
+late contradictions behind a large branching factor.
 
-Invariant: every pruning input (used columns, column groups, the support
-of each used column with its rows' suffix norms, gaps, Wu tests) is
-recomputed inside candidates() from the placed rows, kept dense and as
-their nonzero entries; besides them the search keeps only a node count.
+The Wu set of a star graph is always independent.  The congruence at a Wu
+vertex v, a_v + (number of Wu neighbours of v) = a_v (mod 2), gives every
+vertex of the subgraph the Wu set spans an even degree, and a forest whose
+degrees are all even has no edges (a tree with an edge has a leaf).  A
+matrix input whose Wu vertices are adjacent gets the unpruned search, which
+is still complete.
+
+Search order: the Wu vertices of the prune, then for a star graph the
+centre and the legs by decreasing length (ties by leg index), each walked
+outward from the centre; a matrix input takes its other vertices in index
+order.
+
+Invariant: every pruning input (used columns, the support of each used
+column with its rows' suffix norms, the column groups keyed by those
+supports, gaps) is recomputed inside candidates() from the nonzero entries
+of the placed rows and handed to the module-level generators
+_fill_used/_fill_fresh; besides the placed rows the search keeps only a
+node count.
 Agreement with pretzel.oracle is tested on small and random graphs.
 """
 
@@ -87,7 +103,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import chain, combinations, compress
 
 from .plumbing import (StarGraph, _eliminate_leaves, bareiss_determinant,
                        incidence_matrix, negative_definite_graph)
@@ -238,42 +254,68 @@ def _matrix_of(g_or_matrix):
     return [list(r) for r in g_or_matrix]
 
 
-def _chains_of(q):
-    """Chain decomposition of the non-center vertices; incidence order lists
-    each chain contiguously from the center out."""
-    k = len(q)
-    chains = []
-    seen = {0}
-    for start in range(1, k):
-        if start in seen:
+def _fill_fresh(vec, remaining, cap, col):
+    """The fresh block from column col: positive, non-increasing entries
+    taking exactly the norm left."""
+    if remaining == 0:
+        yield tuple(vec)
+        return
+    if col >= len(vec):
+        return
+    for a in range(1, min(cap, math.isqrt(remaining)) + 1):
+        vec[col] = a
+        yield from _fill_fresh(vec, remaining - a * a, a, col + 1)
+        vec[col] = 0
+
+
+def _fill_used(vec, gap, support, prev_in_group, start, remaining):
+    """Candidates from used column start on, in ascending order.  The zero
+    walk from start: zeros move no gap.  The steps run the negatives on the
+    way out, the fresh block (None) if the walk reaches it, the positives on
+    the way back."""
+    u = len(support)
+    top = math.isqrt(remaining)
+    out, back = [], []
+    for c in range(start, u):
+        hi = top
+        p = prev_in_group[c]
+        if p >= 0 and vec[p] < hi:
+            hi = vec[p]
+        out.append((c, -top, hi if hi < 0 else -1))
+        back.append((c, 1, hi))
+        if hi < 0:
+            break
+        for t, _, sfx in support[c]:
+            if gap[t] * gap[t] > remaining * sfx:
+                break
+        else:
             continue
-        chain = [start]
-        seen.add(start)
-        v = start
-        while v + 1 < k and q[v][v + 1] == 1:
-            v += 1
-            chain.append(v)
-            seen.add(v)
-        chains.append(chain)
-    return chains
-
-
-def _search_order(q, wu):
-    """Vertex order: Wu-set vertices first (center among them leading), then
-    the center, then chains by decreasing length, walked outward.
-
-    Wu-first matters: with the sigma = 0 pruning the Wu rows are forced to
-    single candidates (disjoint +1 blocks), so placing them first turns the
-    counting arguments about the Wu set into immediate dead ends instead of
-    late contradictions behind a large branching factor.
-    """
-    order = [v for v in sorted(wu)]
-    if 0 not in wu:
-        order.append(0)
-    placed = set(order)
-    for chain in sorted(_chains_of(q), key=lambda c: (-len(c), c[0])):
-        order.extend(v for v in chain if v not in placed)
-    return order
+        break
+    else:
+        out.append(None)
+    back.reverse()
+    for step in out + back:
+        if step is None:
+            if not any(gap):
+                yield from _fill_fresh(vec, remaining, remaining, u)
+            continue
+        c, lo, hi = step
+        col = support[c]
+        for a in range(lo, hi + 1):
+            rem = remaining - a * a
+            for t, e, sfx in col:
+                g = gap[t] - a * e
+                if g * g > rem * sfx:
+                    break
+            else:
+                vec[c] = a
+                for t, e, _ in col:
+                    gap[t] -= a * e
+                yield from _fill_used(vec, gap, support, prev_in_group,
+                                      c + 1, rem)
+                for t, e, _ in col:
+                    gap[t] += a * e
+                vec[c] = 0
 
 
 def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> EmbeddingResult:
@@ -296,16 +338,23 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     try:
         wu = wu_vertices(q)
     except SingularMod2Error:
-        wu = None
+        wu = ()
+    # the Wu prune needs an independent Wu set and sigma = 0, which on it
+    # reads Q(w,w) = -(the sum of the Wu norms) = -k
+    if not (cfg.wu_pruning and sum(norms[v] for v in wu) == k and
+            not any(q[a][b] for a, b in combinations(wu, 2))):
+        wu = ()
 
-    # sigma = 0 with a nonempty Wu set
-    wu_active = cfg.wu_pruning and bool(wu) and sum(
-        q[a][b] for a in wu for b in wu) == -k
-    wu_set = set(wu) if wu_active else set()
-    wu_independent = wu_active and all(
-        q[a][b] == 0 for a in wu for b in wu if a < b)
-
-    order = _search_order(q, wu_set)
+    # the search order (module docstring)
+    if isinstance(g_or_matrix, StarGraph):
+        legs, start = [], 1
+        for leg in g_or_matrix.legs:
+            legs.append(range(start, start + len(leg)))
+            start += len(leg)
+        rest = [0, *chain.from_iterable(sorted(legs, key=len, reverse=True))]
+    else:
+        rest = range(k)
+    order = [*wu, *(v for v in rest if v not in wu)]
     # the placed rows, and the nonzero entries of each as (column, entry)
     rows: list[tuple[int, ...]] = []
     nonzeros: list[tuple[tuple[int, int], ...]] = []
@@ -315,23 +364,13 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         n = norms[order[s]]
         # the used columns are a prefix, each nonzero (fresh-block rule)
         u = max((nz[-1][0] + 1 for nz in nonzeros), default=0)
-        if wu_independent and s < len(wu_set):
+        if s < len(wu):
             # independent Wu rows are disjoint blocks of ones
-            if u + n <= k:
-                yield (0,) * u + (1,) * n + (0,) * (k - u - n)
+            yield (0,) * u + (1,) * n + (0,) * (k - u - n)
             return
         qv = q[order[s]]
         # need - partial pairing with each placed row, before column 0
         gap = [-qv[order[t]] for t in range(s)]
-        # Columns with identical entries in every placed row are
-        # interchangeable; canonicalize candidates by requiring entries to
-        # be non-increasing along each such group.
-        cols = list(zip(*rows))
-        last_seen: dict = {}
-        prev_in_group = [-1] * u
-        for c in range(u):
-            prev_in_group[c] = last_seen.get(cols[c], -1)
-            last_seen[cols[c]] = c
         # For the cut gap^2 <= remaining * suffix norm (module docstring):
         # support[c] holds the nonzero entries of used column c as (row,
         # entry, the row's squared norm past c).
@@ -341,69 +380,16 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             for c, e in nz:
                 tail -= e * e
                 support[c].append((t, e, tail))
-
-        vec = [0] * k
-
-        def fill_fresh(remaining, cap, col):
-            # contiguous block of fresh columns, positive non-increasing
-            if remaining == 0:
-                yield tuple(vec)
-                return
-            if col >= k:
-                return
-            top = min(cap, math.isqrt(remaining))
-            for a in range(1, top + 1):
-                vec[col] = a
-                yield from fill_fresh(remaining - a * a, a, col + 1)
-                vec[col] = 0
-
-        def fill_used(start, remaining):
-            # The zero walk from column start: zeros move no gap.  The steps
-            # run the negatives on the way out, the fresh block (None) if
-            # the walk reaches it, the positives on the way back.
-            top = math.isqrt(remaining)
-            out, back = [], []
-            for c in range(start, u):
-                hi = top
-                p = prev_in_group[c]
-                if p >= 0 and vec[p] < hi:
-                    hi = vec[p]
-                out.append((c, -top, hi if hi < 0 else -1))
-                back.append((c, 1, hi))
-                if hi < 0:
-                    break
-                for t, _, sfx in support[c]:
-                    if gap[t] * gap[t] > remaining * sfx:
-                        break
-                else:
-                    continue
-                break
-            else:
-                out.append(None)
-            back.reverse()
-            for step in out + back:
-                if step is None:
-                    if not any(gap):
-                        yield from fill_fresh(remaining, remaining, u)
-                    continue
-                c, lo, hi = step
-                col = support[c]
-                for a in range(lo, hi + 1):
-                    rem = remaining - a * a
-                    for t, e, sfx in col:
-                        g = gap[t] - a * e
-                        if g * g > rem * sfx:
-                            break
-                    else:
-                        vec[c] = a
-                        for t, e, _ in col:
-                            gap[t] -= a * e
-                        yield from fill_used(c + 1, rem)
-                        for t, e, _ in col:
-                            gap[t] += a * e
-                        vec[c] = 0
-
-        yield from fill_used(0, n)
+        # Columns with the same entries in every placed row are
+        # interchangeable; a candidate's entries must be non-increasing
+        # along each such group.
+        last_seen: dict = {}
+        prev_in_group = []
+        for c, col in enumerate(support):
+            key = tuple((t, e) for t, e, _ in col)
+            prev_in_group.append(last_seen.get(key, -1))
+            last_seen[key] = c
+        yield from _fill_used([0] * k, gap, support, prev_in_group, 0, n)
 
     def place(s):
         nonlocal nodes
@@ -415,13 +401,9 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
                 raise _LimitHit
             rows.append(cand)
             nonzeros.append(tuple(compress(enumerate(cand), cand)))
-            # after the last Wu row: the Wu class is embedded as a vector
-            # with every coordinate +-1
-            if s + 1 != len(wu_set) or all(abs(sum(col)) == 1
-                                           for col in zip(*rows)):
-                result = place(s + 1)
-                if result is not None:
-                    return result
+            result = place(s + 1)
+            if result is not None:
+                return result
             rows.pop()
             nonzeros.pop()
         return None

@@ -1,8 +1,16 @@
+import os
+import pathlib
 import random
 
 import pytest
 
 from pretzel import Kind, classify_type
+
+# pyproject's pythonpath puts src/ on this process's path; the CLI tests run
+# `python -m pretzel.cli` in subprocesses, which need it too
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def random_knot_params(rng, max_strands=6, max_abs=7, min_strands=2):

@@ -14,10 +14,12 @@ import time
 
 import pytest
 
-from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig, Status,
-                     Subcase, analyze, determinant, enumerate_classes,
-                     find_embedding, graph_signature, is_fibered, mirror,
-                     negative_definite_graph, signature, verify_embedding)
+from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig,
+                     SingularMod2Error, Status, Subcase, analyze, determinant,
+                     enumerate_classes, find_embedding, graph_signature,
+                     incidence_matrix, is_fibered, mirror,
+                     negative_definite_graph, signature, verify_embedding,
+                     wu_vertices)
 from pretzel.oracle import exhaustive_embedding
 from pretzel.plumbing import StarGraph
 
@@ -179,6 +181,38 @@ def test_search_work_on_8x7_certificates(big_enumeration):
     assert len(witnesses) == 346
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
         "cf0c642bffc4ffef08d2f426527fba4ea5bdbbd7d8e66b00e351bee96b2cbf38"
+
+
+def independent_wu_set(g):
+    """The dense Wu set of a star graph, asserted to hold no edge."""
+    q = incidence_matrix(g)
+    wu = wu_vertices(q)
+    assert not [(a, b) for a in wu for b in wu if a < b and q[a][b]], g
+    return wu, q
+
+
+def test_wu_set_of_a_star_graph_is_independent(big_enumeration):
+    # The Wu prune of find_embedding rests on this: each Wu vertex has an
+    # even number of Wu neighbours, and a forest whose degrees are all even
+    # has no edges.  Under sigma = 0 the Wu norms then sum to the rank.
+    records, _, _ = big_enumeration
+    assert len(records) == 15414
+    for r in records:
+        g = negative_definite_graph(r.class_key)
+        wu, q = independent_wu_set(g)
+        if r.sigma == 0:
+            assert sum(-q[v][v] for v in wu) == g.rank, r.class_key
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(2000):
+        legs = tuple(tuple(rng.randint(-6, 6) for _ in range(
+            rng.randint(1, 5))) for _ in range(rng.randint(1, 5)))
+        try:
+            independent_wu_set(StarGraph(rng.randint(-6, 6), legs))
+        except SingularMod2Error:  # even det: no Wu class
+            continue
+        checked += 1
+    assert checked > 500
 
 
 def searched_graph(key, witness):

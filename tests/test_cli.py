@@ -123,7 +123,7 @@ def test_embed_exhaustive_agrees(capsys):
             recs.append(json.loads(capsys.readouterr().out))
             assert rc == 0
         assert recs[0]["status"] == recs[1]["status"] == status, params
-    # the oracle keeps the node limit and the rank cap of the search
+    # the oracle keeps the node limit, and refuses rank > 12
     assert main(["embed", "1,1,3,-4", "--exhaustive", "--node-limit",
                  "2"]) == 3
     assert "INCONCLUSIVE (2 nodes searched, limit 2)" in \
@@ -163,13 +163,20 @@ def test_bad_node_limit_exit_2(args, env_limit):
     assert "Traceback" not in r.stderr
 
 
-def test_embed_rank_cap_requires_limit(capsys):
-    rc = main(["embed", "7,-7,5,-5,4"])  # rank 16 > 12
-    err_out = capsys.readouterr()
-    assert rc == 2
-    rc = main(["embed", "7,-7,5,-5,4", "--node-limit", "100000"])
-    capsys.readouterr()
-    assert rc == 0
+def test_embed_rank_cap_only_exhaustive(capsys):
+    # the search takes any rank, with or without a node limit
+    for extra in ([], ["--node-limit", "100000"]):
+        assert main(["embed", "7,-7,5,-5,4"] + extra) == 0  # rank 16 > 12
+        capsys.readouterr()
+    # the oracle refuses rank > 12 with or without a limit, since it lists
+    # every vector of a norm before it counts a node
+    for params in ("7,-7,5,-5,4", "-15,-13,13,15,3"):  # ranks 16 and 31
+        for extra in ([], ["--node-limit", "10"]):
+            assert main(["embed", params, "--exhaustive"] + extra) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: graph rank ")
+            assert err.splitlines() == [err.strip()]
 
 
 def test_embed_link_rejected(capsys):
@@ -357,3 +364,5 @@ def test_enumerate_cache_save_fails_exit_2(tmp_path):
     assert r.stderr.startswith("error: cannot write cache file ")
     assert r.stderr.splitlines() == [r.stderr.strip()]
     assert path.read_bytes() == old
+    # the cache is saved before the report, so a failed save leaves none
+    assert not (tmp_path / "b.csv").exists()

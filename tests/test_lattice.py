@@ -433,8 +433,10 @@ def test_wu_pruning_consistency_random():
 
 
 def test_wu_completion_on_adjacent_wu_vertices():
-    # star graphs of pretzel knots have pairwise non-adjacent Wu vertices;
-    # triangles with sigma = 0 take the general Wu completion test instead
+    # star graphs have pairwise non-adjacent Wu vertices (see
+    # test_wu_set_of_a_star_graph_is_independent); triangles with sigma = 0
+    # have adjacent ones, so the Wu prune stays off and the search runs
+    # unpruned
     checked = embeddable = 0
     for a, b, c in itertools.product(range(-5, 0), repeat=3):
         q = [[a, 1, 1], [1, b, 1], [1, 1, c]]
@@ -454,6 +456,30 @@ def test_wu_completion_on_adjacent_wu_vertices():
         embeddable += bool(res)
     assert (checked, embeddable) == (12, 3)
     assert find_embedding([[-5, 1, 1], [1, -2, 1], [1, 1, -2]])
+
+
+# Wu sets with an edge whose norms still sum to the rank (found by a seeded
+# scan of random negative definite matrices).  The block rule would place
+# the Wu rows orthogonal whatever Q says, so these take the unpruned search.
+ADJACENT_WU_NORMS_SUM_TO_RANK = [
+    [[-2, 1, -1, 1, -1], [1, -2, 1, 0, 0], [-1, 1, -1, 1, 0],
+     [1, 0, 1, -4, -1], [-1, 0, 0, -1, -3]],
+    [[-2, 1, 0, 1, 0], [1, -2, 1, -1, 1], [0, 1, -3, 0, 1],
+     [1, -1, 0, -1, 1], [0, 1, 1, 1, -4]],
+    [[-4, -1, 0, 1, -1], [-1, -4, 0, 0, 0], [0, 0, -2, -1, 1],
+     [1, 0, -1, -1, 1], [-1, 0, 1, 1, -2]],
+]
+
+
+def test_wu_prune_needs_an_independent_wu_set():
+    for q in ADJACENT_WU_NORMS_SUM_TO_RANK:
+        wu = wu_vertices(q)
+        assert sum(-q[v][v] for v in wu) == len(q)
+        assert any(q[a][b] for a in wu for b in wu if a < b)
+        res = find_embedding(q)
+        assert res.status is find_embedding(
+            q, SearchConfig(wu_pruning=False)).status, q
+        assert bool(res) == bool(exhaustive_embedding(q)), q
 
 
 def test_exhaustive_matches_default_random_stress():

@@ -1,13 +1,13 @@
 """
 Slice obstructions and the fibered-ribbon families.
 
-analyze() runs the whole pipeline on one parameter list: normalize,
-classify, decide fiberedness, then stack the sliceness obstructions in
-increasing cost: the determinant must be a perfect square, the signature
-must vanish, and the negative definite graph must embed in the standard
-diagonal lattice (Donaldson).  A knot failing any of them is NotSlice; a
-knot passing all of them is matched against the known fibered-ribbon
-families:
+One class pipeline serves both entry points.  It takes the sorted,
+normalized multiset of a mutation class, classifies it, and stacks the
+sliceness obstructions in increasing cost: the determinant must be a
+perfect square, the signature must vanish, and the negative definite graph
+must embed in the standard diagonal lattice (Donaldson).  A knot failing
+any of them is NotSlice; a knot passing all of them is matched against the
+known fibered-ribbon families:
 
   F1: {1,1,1,1,-3,-3,-3}                    (the knot 10_75, up to mirror)
   F2: {q_1,-q_1,...,q_r,-q_r, k}            q_i >= 3 odd, k even, r >= 1
@@ -23,6 +23,13 @@ yet fail to be slice).
 The exceptional family, pairs plus the triple (a, -a-2, -(a+1)^2/2) with
 a = 1 or 97 mod 120, has so far resisted classification; those classes are
 reported as Exceptional and left undecided.
+
+analyze() normalizes one parameter list, runs the class pipeline on its
+sorted multiset and adds the two verdicts that depend on the order: Gabai
+fiberedness of that ordering and the adjacent-pair ribbon move.
+class_record() runs the class pipeline once per class and computes
+class-level fiberedness only (is some ordering fibered?), so it needs
+neither of the ordered verdicts.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (Kind, MutationClass, as_params, classify_type,
-                   mirror, mutation_class, normalize)
+from .core import (Kind, MutationClass, as_params, classify_type, mirror,
+                   normalize)
 from .fibered import (FiberStatus, FiberVerdict, Subcase, class_fiberable,
                       is_fibered)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
@@ -173,21 +180,16 @@ def detectably_ribbon_reduce(params) -> tuple[int, ...]:
     the sequence never changes adjacency, so this fixed point is canonical.
     """
     p = list(as_params(params))
-    while True:
-        n = len(p)
-        if n < 2:
-            return tuple(p)
-        hit = None
-        for i in range(n):
-            j = (i + 1) % n
-            if i != j and abs(p[i]) >= 2 and p[i] == -p[j]:
-                hit = (i, j)
+    while len(p) >= 2:
+        for i in range(len(p)):
+            j = (i + 1) % len(p)
+            if abs(p[i]) >= 2 and p[i] == -p[j]:
+                for idx in sorted((i, j), reverse=True):
+                    del p[idx]
                 break
-        if hit is None:
-            return tuple(p)
-        i, j = hit
-        for idx in sorted((i, j), reverse=True):
-            del p[idx]
+        else:
+            break
+    return tuple(p)
 
 
 def is_detectably_ribbon(params) -> bool:
@@ -203,13 +205,9 @@ def is_detectably_ribbon(params) -> bool:
 
 def analyze(params, node_limit: int | None = None,
             _donaldson_cache: dict | None = None) -> Verdict:
-    """Full verdict for one parameter list.
-
-    NotSlice short-circuits before the embedding search whenever the
-    determinant or the signature already obstructs.  The signature and the
-    Donaldson search read one negative definite graph, built on the sorted
-    parameters so that every mutant gets the same graph.
-    """
+    """Full verdict for one parameter list: the facts of its mutation class
+    (_class_facts) plus the two verdicts that depend on the order, Gabai
+    fiberedness and the adjacent-pair ribbon move."""
     p = as_params(params)
     kind = classify_type(p)
     if kind is Kind.LINK:
@@ -218,43 +216,51 @@ def analyze(params, node_limit: int | None = None,
                        None, None, (), False, False, Status.NOT_APPLICABLE,
                        reason="link")
     pn = normalize(p)
-    kind = classify_type(pn)
-    fib = is_fibered(pn)
-    cls = mutation_class(pn)
-    det = determinant(pn)
+    kind, report, family, all_fams, exceptional, status, reason = \
+        _class_facts(tuple(sorted(pn)), node_limit, _donaldson_cache)
+    return Verdict(p, pn, kind, is_fibered(pn), report, family, all_fams,
+                   exceptional, is_detectably_ribbon(pn), status, reason)
+
+
+def _class_facts(ms, node_limit, cache):
+    """(kind, ObstructionReport, primary family, all families, exceptional,
+    status, reason) of the sorted, normalized multiset ms, each computed
+    once.
+
+    NotSlice short-circuits before the embedding search whenever the
+    determinant or the signature already obstructs.  The signature and the
+    Donaldson search read one negative definite graph, built on the sorted
+    parameters so that every mutant gets the same graph.
+    """
+    kind = classify_type(ms)
+    det = determinant(ms)
     det_square = math.isqrt(det) ** 2 == det
-    g = negative_definite_graph(tuple(sorted(pn)))
+    g = negative_definite_graph(ms)
     sig = -graph_signature(g) if g.mirrored else graph_signature(g)
+    # ms is sorted, so the reversed negation is its sorted mirror
+    cls = MutationClass(ms, min(ms, tuple(-x for x in reversed(ms))))
     family, all_fams = match_family(cls)
     exceptional = is_exceptional(cls)
-    ribbon_move = is_detectably_ribbon(pn)
 
-    donaldson = None
-    reason = None
+    donaldson = reason = None
     if not det_square:
-        status = Status.NOT_SLICE
-        reason = "determinant"
+        status, reason = Status.NOT_SLICE, "determinant"
     elif sig != 0:
-        status = Status.NOT_SLICE
-        reason = "signature"
+        status, reason = Status.NOT_SLICE, "signature"
     else:
-        donaldson = _donaldson(g, node_limit, _donaldson_cache)
+        donaldson = _donaldson(g, node_limit, cache)
         if donaldson.status is DonaldsonStatus.NOT_EMBEDDABLE:
-            status = Status.NOT_SLICE
-            reason = "donaldson"
+            status, reason = Status.NOT_SLICE, "donaldson"
         elif donaldson.status is DonaldsonStatus.INCONCLUSIVE:
-            status = Status.INCONCLUSIVE
-            reason = "node limit hit"
+            status, reason = Status.INCONCLUSIVE, "node limit hit"
         elif exceptional:
             status = Status.EXCEPTIONAL
         elif family is not None:
             status = Status.RIBBON_KNOWN
         else:
             status = Status.OBSTRUCTIONS_VANISH
-
     report = ObstructionReport(det, det_square, sig, donaldson)
-    return Verdict(p, pn, kind, fib, report, family, all_fams, exceptional,
-                   ribbon_move, status, reason)
+    return kind, report, family, all_fams, exceptional, status, reason
 
 
 def _donaldson(g, node_limit, cache):
@@ -318,18 +324,19 @@ class ClassRecord:
 
 def class_record(ms, node_limit: int | None = None,
                  cache: dict | None = None) -> ClassRecord:
+    """The report row of the mutation class of ms: fiberedness at class
+    level (class_fiberable), the rest from _class_facts."""
     fiberable, subcase = class_fiberable(ms)
-    verdict = analyze(ms, node_limit=node_limit, _donaldson_cache=cache)
-    rep = verdict.obstructions
-    if rep.donaldson is None:
-        don, nodes = "skipped", 0
-    else:
-        don, nodes = rep.donaldson.status.value, rep.donaldson.nodes
+    kind, rep, family, _, exceptional, status, _ = _class_facts(
+        tuple(sorted(normalize(ms))), node_limit, cache)
+    don = rep.donaldson
+    searched = don is not None   # a NOT_EMBEDDABLE result is falsy
     return ClassRecord(
-        class_key=ms, kind=verdict.kind, subcase=subcase, fiberable=fiberable,
+        class_key=ms, kind=kind, subcase=subcase, fiberable=fiberable,
         det=rep.det_value, det_square=rep.det_is_square, sigma=rep.signature,
-        donaldson=don, family=verdict.family.tag if verdict.family else "",
-        exceptional=verdict.exceptional, status=verdict.status, nodes=nodes)
+        donaldson=don.status.value if searched else "skipped",
+        family=family.tag if family else "", exceptional=exceptional,
+        status=status, nodes=don.nodes if searched else 0)
 
 
 def enumerate_classes(max_strands: int, max_abs_param: int,

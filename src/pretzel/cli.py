@@ -96,10 +96,10 @@ def record_to_json(verdict, ms_elapsed) -> dict:
         "det": rep.det_value if rep else None,
         "det_square": rep.det_is_square if rep else None,
         "sigma": rep.signature if rep else None,
-        "donaldson": don.status.value if don else "skipped",
+        "donaldson": don.status.value if don is not None else "skipped",
         "witness": [list(r) for r in don.witness]
         if don and don.witness else None,
-        "nodes": don.nodes if don else 0,
+        "nodes": don.nodes if don is not None else 0,
         "family": fam.tag if fam else None,
         "family_pairs": list(fam.pairs) if fam else None,
         "family_k": fam.k if fam else None,
@@ -150,7 +150,8 @@ def cmd_analyze(args):
               % (rep.det_value, "" if rep.det_is_square else "non-"))
         print("  signature:  %d" % rep.signature)
         don = rep.donaldson
-        print("  donaldson:  %s" % (don.status.value if don else "skipped"))
+        print("  donaldson:  %s"
+              % (don.status.value if don is not None else "skipped"))
         print("  family:     %s" % _family_text(verdict.family))
         print("  exceptional: %s" % verdict.exceptional)
         print("  detectably ribbon: %s" % verdict.detectably_ribbon)
@@ -261,22 +262,29 @@ def _load_cache(directory):
                        tuple(tuple(leg) for leg in obj["legs"]))
                 witness = tuple(tuple(r) for r in obj["witness"]) \
                     if obj["witness"] else None
-                cache[key] = EmbeddingResult(
+                res = EmbeddingResult(
                     DonaldsonStatus(obj["status"]), witness, obj["nodes"])
             except (ValueError, KeyError, TypeError) as exc:
                 print("error: bad cache file %s line %d: %s"
                       % (path, n, exc), file=sys.stderr)
                 return None
+            # a search that gave up at a node limit decides nothing
+            if res.status is not DonaldsonStatus.INCONCLUSIVE:
+                cache[key] = res
     return cache
 
 
 def _save_cache(directory, cache):
-    """Write every entry, sorted, to a temporary file and rename it over the
-    cache file, so an interrupted save leaves the old file whole."""
+    """Write every decided entry, sorted, to a temporary file and rename it
+    over the cache file, so an interrupted save leaves the old file whole.
+    INCONCLUSIVE entries are left out: a later run with a higher node limit
+    must search again."""
     path = _cache_path(directory)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         for key, res in sorted(cache.items()):
+            if res.status is DonaldsonStatus.INCONCLUSIVE:
+                continue
             fh.write(json.dumps({
                 "center": key[0], "legs": [list(leg) for leg in key[1]],
                 "status": res.status.value,

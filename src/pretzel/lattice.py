@@ -18,15 +18,17 @@ Saveliev's formula (Sav00, Theorem 5) computes the knot signature from it:
 evaluated on the negative definite graph, where sign(Q) = -rank; the result
 is negated if the graph was built from the mirror.
 
-graph_signature walks the star graph's legs instead of eliminating the
-dense matrix.  Read from the outer end, the congruence at each leg vertex,
+One walk over a star graph's legs finds its Wu class instead of
+eliminating the dense matrix, and it serves the signature, the Wu set of
+the search and the highlight of `pretzelc graph` (wu_vertices of a
+StarGraph).  Read from the outer end, the congruence at each leg vertex,
 a_j w_j + w_{j-1} + w_{j+1} = a_j (mod 2), fixes the bit nearer the centre,
 so each leg is settled by trying both values of its outer bit; each trial
 forces a centre bit, and the centre's own congruence picks the one
-consistent choice (it is unique iff det Q is odd).  Then Q(w,w) is the sum
-of the weights of the Wu vertices plus twice the number of edges inside
-the Wu set.  wu_class keeps the dense GF(2) elimination, for matrix inputs
-and the search, and is the test oracle for the walk.
+consistent choice (it is unique iff det Q is odd).  The Wu set of a star
+graph has no edges (see the Wu prune below), so Q(w,w) is the sum of the
+weights of the Wu vertices.  wu_class keeps the dense GF(2) elimination,
+for matrix inputs, and is the test oracle for the walk.
 
 Search pruning.  The basis symmetry of the diagonal lattice (signed column
 permutations) is broken in two layers:
@@ -123,15 +125,8 @@ def wu_class(g_or_matrix) -> tuple[int, ...]:
     q = _matrix_of(g_or_matrix)
     k = len(q)
     # rows as bitmasks, bit k holds the right-hand side (diagonal parity)
-    rows = []
-    for i in range(k):
-        bits = 0
-        for j in range(k):
-            if q[i][j] % 2:
-                bits |= 1 << j
-        if q[i][i] % 2:
-            bits |= 1 << k
-        rows.append(bits)
+    rows = [sum((q[i][j] & 1) << j for j in range(k)) | (q[i][i] & 1) << k
+            for i in range(k)]
     pivots = {}
     for row in rows:
         for col in range(k):
@@ -159,29 +154,38 @@ def wu_class(g_or_matrix) -> tuple[int, ...]:
 
 
 def wu_vertices(g_or_matrix) -> tuple[int, ...]:
-    """Indices of the Wu-set vertices in incidence-matrix order."""
-    w = wu_class(g_or_matrix)
-    return tuple(i for i, b in enumerate(w) if b)
+    """Indices of the Wu-set vertices in incidence-matrix order, ascending:
+    by the leg walk for a star graph, by wu_class for a matrix."""
+    if not isinstance(g_or_matrix, StarGraph):
+        w = wu_class(g_or_matrix)
+        return tuple(i for i, b in enumerate(w) if b)
+    w0, legs = _wu_walk(g_or_matrix)
+    w, start = w0, 1       # bit v of w is the Wu bit of vertex v
+    for leg, t in zip(g_or_matrix.legs, legs):
+        w, start = w | t[3] << start, start + len(leg)
+    return tuple(v for v in range(g_or_matrix.rank) if w >> v & 1)
 
 
 def _leg_trial(leg, outer):
     """Wu bits of a leg from its outer bit `outer`, each leg congruence
     fixing the bit nearer the centre: (the centre bit they force, the
-    first bit, the leg's share of Q(w,w) without the centre edge)."""
-    cur, nxt, share = outer, 0, 0
+    first bit, the sum of the leg's Wu weights, the bits with bit j for
+    the j-th vertex from the centre)."""
+    cur, nxt, share, bits = outer, 0, 0, 0
     for a in reversed(leg):
-        share += a * cur + 2 * cur * nxt
+        share += a * cur
+        bits = 2 * bits + cur
         cur, nxt = (a * (1 + cur) + nxt) & 1, cur
-    return cur, nxt, share
+    return cur, nxt, share, bits
 
 
-def graph_signature(g: StarGraph) -> int:
-    """sign(Q) - Q(w,w) for a negative definite graph (no mirror fixup),
-    with the Wu class w found by the leg walk.  Raises SingularMod2Error
+def _wu_walk(g: StarGraph):
+    """The Wu class of a star graph by the leg walk: (the centre bit, the
+    trial of _leg_trial that each leg takes).  Raises SingularMod2Error
     when det Q is even."""
     c = g.center_weight
     trials = [(_leg_trial(leg, 0), _leg_trial(leg, 1)) for leg in g.legs]
-    qww = []
+    found = []
     for w0 in (0, 1):
         fits = [[t for t in pair if t[0] == w0] for pair in trials]
         if not all(fits):
@@ -194,12 +198,19 @@ def graph_signature(g: StarGraph) -> int:
         for legs in [picks] + [picks[:i] + [fits[i][1]] + picks[i + 1:]
                                for i in free]:
             # the centre congruence: c w0 + (first bit of each leg) = c
-            if (c * (w0 + 1) + sum(f for _, f, _ in legs)) % 2 == 0:
-                qww.append(c * w0 + sum(share + 2 * w0 * f
-                                        for _, f, share in legs))
-    if len(qww) != 1:
+            if (c * (w0 + 1) + sum(t[1] for t in legs)) % 2 == 0:
+                found.append((w0, legs))
+    if len(found) != 1:
         raise SingularMod2Error("incidence matrix singular mod 2")
-    return -g.rank - qww[0]
+    return found[0]
+
+
+def graph_signature(g: StarGraph) -> int:
+    """sign(Q) - Q(w,w) for a negative definite graph (no mirror fixup),
+    with the Wu class w found by the leg walk.  Raises SingularMod2Error
+    when det Q is even."""
+    w0, legs = _wu_walk(g)
+    return -g.rank - g.center_weight * w0 - sum(t[2] for t in legs)
 
 
 def signature(params) -> int:
@@ -336,7 +347,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         raise ValueError("graph is not negative definite")
 
     try:
-        wu = wu_vertices(q)
+        wu = wu_vertices(g_or_matrix)
     except SingularMod2Error:
         wu = ()
     # the Wu prune needs an independent Wu set and sigma = 0, which on it

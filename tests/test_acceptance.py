@@ -20,6 +20,7 @@ from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig,
                      incidence_matrix, is_fibered, mirror,
                      negative_definite_graph, signature, verify_embedding,
                      wu_vertices)
+from pretzel.cli import CSV_HEADER, _csv_row
 from pretzel.oracle import exhaustive_embedding
 from pretzel.plumbing import StarGraph
 
@@ -183,10 +184,27 @@ def test_search_work_on_8x7_certificates(big_enumeration):
         "cf0c642bffc4ffef08d2f426527fba4ea5bdbbd7d8e66b00e351bee96b2cbf38"
 
 
+def test_8x7_report_bytes(big_enumeration):
+    # the report `pretzelc enumerate --max-strands 8 --max-param 7` writes;
+    # the fixture's node cap is far above every search, so the bytes are
+    # those of an uncapped run
+    records, _, _ = big_enumeration
+    text = "\n".join([CSV_HEADER] + [_csv_row(r) for r in records]) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "0ddf92ddd9c3ca1044d4999f3fd284dbfb3a0d76a2fc28eab1c6e67ca5450bc4"
+
+
 def independent_wu_set(g):
-    """The dense Wu set of a star graph, asserted to hold no edge."""
+    """The dense Wu set of a star graph, asserted to hold no edge and to be
+    the one the leg walk finds (wu_vertices of the graph itself)."""
     q = incidence_matrix(g)
-    wu = wu_vertices(q)
+    try:
+        wu = wu_vertices(q)
+    except SingularMod2Error:
+        with pytest.raises(SingularMod2Error):
+            wu_vertices(g)
+        raise
+    assert wu_vertices(g) == wu, g
     assert not [(a, b) for a in wu for b in wu if a < b and q[a][b]], g
     return wu, q
 

@@ -8,6 +8,7 @@ from pretzel import (DonaldsonStatus, FiberStatus, Kind, Status, analyze,
                      enumerate_classes, is_detectably_ribbon, is_exceptional,
                      knot_classes, match_family, mirror, mutation_class,
                      normalize)
+import pretzel.classify
 from pretzel.classify import class_record
 
 from conftest import random_knot_params
@@ -247,6 +248,51 @@ def test_enumerate_small_records():
     f2 = by_key[(-3, -2, 3)]  # mirror-canonical key of {3, -3, 2}
     assert f2.family == "F2"
     assert f2.status is Status.RIBBON_KNOWN
+
+
+def record_from_verdict(v, key):
+    """The fields class_record shares with analyze, read off a Verdict."""
+    rep = v.obstructions
+    don = rep.donaldson
+    return (key, v.kind, rep.det_value, rep.det_is_square, rep.signature,
+            don.status.value if don is not None else "skipped",
+            don.nodes if don is not None else 0,
+            v.family.tag if v.family else "", v.exceptional, v.status)
+
+
+def record_fields(r):
+    return (r.class_key, r.kind, r.det, r.det_square, r.sigma, r.donaldson,
+            r.nodes, r.family, r.exceptional, r.status)
+
+
+def test_class_record_matches_analyze():
+    # one class pipeline behind both: every 6x6 class, then raw parameter
+    # lists (unsorted, not normalized) as class_record accepts them too
+    keys = list(knot_classes(6, 6))
+    assert len(keys) == 1111
+    rng = random.Random(6161)
+    while len(keys) < 1311:
+        p = random_knot_params(rng, max_strands=7, max_abs=6)
+        if not (1 in p and -1 in p):   # class_fiberable rejects those
+            keys.append(p)
+    statuses = set()
+    for key in keys:
+        rec = class_record(key)
+        assert record_fields(rec) == record_from_verdict(analyze(key), key)
+        assert (rec.fiberable, rec.subcase) == class_fiberable(key)
+        statuses.add(rec.status)
+    assert Status.NOT_SLICE in statuses and Status.RIBBON_KNOWN in statuses
+
+
+def test_enumeration_needs_no_ordered_verdict(monkeypatch):
+    # class_record decides fiberedness at class level; the ordered verdicts
+    # of analyze are never computed during an enumeration
+    def refuse(*args, **kwargs):
+        raise AssertionError("called during an enumeration")
+    for name in ("analyze", "is_fibered", "is_detectably_ribbon"):
+        monkeypatch.setattr(pretzel.classify, name, refuse)
+    recs = list(enumerate_classes(5, 5))
+    assert len(recs) == len(list(knot_classes(5, 5)))
 
 
 def test_family_instances_pass_all_obstructions():

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from pretzel.cli import CSV_HEADER, main, record_to_json
-from pretzel import analyze
+from pretzel import (analyze, incidence_matrix, negative_definite_graph,
+                     wu_vertices)
+
+from conftest import random_knot_params
 
 
 def run_cli(*args, env=None):
@@ -55,6 +58,21 @@ def test_analyze_not_slice(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert rec["status"] == "not_slice"
+
+
+@pytest.mark.parametrize("params, limit, donaldson, nodes", [
+    ("-6,-3,-3,-1,5", None, "not_embeddable", 17),
+    ("1,1,1,1,-3,-3,-3", "1", "inconclusive", 1),
+])
+def test_analyze_reports_a_search_that_decides_no_embedding(
+        params, limit, donaldson, nodes, capsys):
+    # NOT_EMBEDDABLE and INCONCLUSIVE results are falsy, yet searched
+    extra = ["--node-limit", limit] if limit else []
+    main(["analyze", params, "--json", *extra])
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["donaldson"], rec["nodes"]) == (donaldson, nodes)
+    main(["analyze", params, *extra])
+    assert "donaldson:  %s\n" % donaldson in capsys.readouterr().out
 
 
 SCHEMA = {
@@ -224,6 +242,47 @@ def test_graph_parse_validated(capsys):
     _check_dot(out)
 
 
+def _wu_of_dot(text):
+    """The highlighted vertices of a DOT graph, after checking that they
+    satisfy the Wu congruence a_v w_v + (Wu neighbours of v) = a_v (mod 2)
+    at every vertex, read from the DOT text alone."""
+    weight = {int(v): int(a) for v, a in
+              re.findall(r'^  v(\d+) \[label="(-?\d+)"', text, re.M)}
+    wu = {int(v) for v in re.findall(r'^  v(\d+) \[.*wu="true"', text, re.M)}
+    odd = dict.fromkeys(weight, 0)
+    for a, b in re.findall(r"^  v(\d+) -- v(\d+);$", text, re.M):
+        odd[int(a)] += int(b) in wu
+        odd[int(b)] += int(a) in wu
+    for v, a in weight.items():
+        assert (a * (v in wu) + odd[v] - a) % 2 == 0, v
+    return tuple(sorted(wu))
+
+
+def test_graph_highlights_the_dense_wu_set(capsys, rng):
+    for _ in range(150):
+        p = random_knot_params(rng, max_strands=7, max_abs=9)
+        assert main(["graph", ",".join(map(str, p))]) == 0
+        want = wu_vertices(incidence_matrix(negative_definite_graph(p)))
+        assert _wu_of_dot(capsys.readouterr().out) == want, p
+
+
+def test_graph_builds_no_matrix(capsys, monkeypatch):
+    # the Wu set of a star graph comes from the leg walk, so a rank-2,004
+    # graph needs no k x k matrix
+    def refuse(*args):
+        raise AssertionError("dense routine called")
+    for name in ("pretzel.plumbing.incidence_matrix",
+                 "pretzel.lattice.incidence_matrix",
+                 "pretzel.lattice.wu_class"):
+        monkeypatch.setattr(name, refuse)
+    assert main(["graph", "2001,3,-5"]) == 0
+    out = capsys.readouterr().out
+    _check_dot(out)
+    # the centre, every second vertex of the 2,000-vertex leg, the outer
+    # vertex of the 2-vertex leg
+    assert _wu_of_dot(out) == (0, *range(2, 2001, 2), 2002)
+
+
 def test_graph_link_exit_2(capsys):
     rc = main(["graph", "2,2,3"])
     capsys.readouterr()
@@ -366,3 +425,34 @@ def test_enumerate_cache_save_fails_exit_2(tmp_path):
     assert path.read_bytes() == old
     # the cache is saved before the report, so a failed save leaves none
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_enumerate_cache_keeps_no_inconclusive(tmp_path, monkeypatch):
+    # a search cut at a node limit decides nothing: a rerun without the
+    # limit must search again instead of reading INCONCLUSIVE back
+    monkeypatch.delenv("PRETZELC_NODE_LIMIT", raising=False)
+    bounds = ["enumerate", "--max-strands", "5", "--max-param", "4"]
+    cache = tmp_path / "cache"
+    path = cache / "donaldson-cache.jsonl"
+    report = {}
+
+    def run(name, *extra):
+        out = tmp_path / (name + ".csv")
+        assert main(bounds + ["--out", str(out), *extra]) == 0
+        report[name] = out.read_text()
+
+    run("cut", "--cache", str(cache), "--node-limit", "3")
+    cut = [r for r in report["cut"].splitlines() if ",inconclusive," in r]
+    assert len(cut) == 13
+    assert "inconclusive" not in path.read_text()
+    run("rerun", "--cache", str(cache))
+    run("fresh")
+    assert ",inconclusive," not in report["fresh"]
+    assert report["rerun"] == report["fresh"]
+    # a cache file that holds INCONCLUSIVE entries: they are skipped
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    for e in entries:
+        e.update(status="inconclusive", witness=None, nodes=3)
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    run("stale", "--cache", str(cache))
+    assert report["stale"] == report["fresh"]

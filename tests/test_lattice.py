@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pretzel.lattice
 from pretzel import (DonaldsonStatus, SearchConfig, SingularMod2Error,
                      bareiss_determinant, find_embedding, graph_signature,
                      incidence_matrix, mirror, negative_definite_graph,
@@ -94,6 +95,21 @@ def test_graph_signature_walk_agrees_with_dense_wu_class():
                 continue
             assert graph_signature(h) == want, h
     assert singular > 0
+
+
+def test_search_on_a_star_graph_takes_the_walks_wu_set(monkeypatch):
+    # the dense elimination serves matrix inputs only
+    graphs = [g for _, g in rank5_corpus_graphs()]
+    graphs += [negative_definite_graph(p) for p in ((1, 1, 1, 1, -3, -3, -3),
+                                                    (5, -5, 7, -7, 4),
+                                                    (3, -7, 5, -5, 8))]
+    want = [find_embedding(g) for g in graphs]
+    assert any(graph_signature(g) == 0 for g in graphs)
+
+    def refuse(*args):
+        raise AssertionError("dense Wu class computed for a star graph")
+    monkeypatch.setattr(pretzel.lattice, "wu_class", refuse)
+    assert [find_embedding(g) for g in graphs] == want
 
 
 # ---------------------------------------------------------------------------

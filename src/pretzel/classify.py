@@ -18,7 +18,9 @@ all up to mirror and reordering.  Family membership is reported as
 RibbonKnown; vanishing obstructions without a family match are reported
 honestly as ObstructionsVanish, never as "slice" (mutants with the right
 multiset in the wrong order can have all cover-derived obstructions vanish
-yet fail to be slice).
+yet fail to be slice).  Once parameters reach 8 in absolute value these
+include fiberable classes of two patterns that match no family:
+(3, -5, -8) and (3, -5, -12), each alone or with one pair {q, -q}.
 
 The exceptional family, pairs plus the triple (a, -a-2, -(a+1)^2/2) with
 a = 1 or 97 mod 120, has so far resisted classification; those classes are
@@ -41,11 +43,11 @@ from enum import Enum
 
 from .core import (Kind, MutationClass, as_params, classify_type, mirror,
                    normalize)
-from .fibered import (FiberStatus, FiberVerdict, Subcase, class_fiberable,
+from .fibered import (FiberStatus, FiberVerdict, Subcase, _class_fiberable,
                       is_fibered)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, graph_signature)
-from .plumbing import determinant, negative_definite_graph
+from .plumbing import _graph_and_determinant
 
 
 class Status(Enum):
@@ -203,8 +205,7 @@ def is_detectably_ribbon(params) -> bool:
 # ---------------------------------------------------------------------------
 # the pipeline
 
-def analyze(params, node_limit: int | None = None,
-            _donaldson_cache: dict | None = None) -> Verdict:
+def analyze(params, node_limit: int | None = None) -> Verdict:
     """Full verdict for one parameter list: the facts of its mutation class
     (_class_facts) plus the two verdicts that depend on the order, Gabai
     fiberedness and the adjacent-pair ribbon move."""
@@ -217,7 +218,7 @@ def analyze(params, node_limit: int | None = None,
                        reason="link")
     pn = normalize(p)
     kind, report, family, all_fams, exceptional, status, reason = \
-        _class_facts(tuple(sorted(pn)), node_limit, _donaldson_cache)
+        _class_facts(tuple(sorted(pn)), node_limit, None)
     return Verdict(p, pn, kind, is_fibered(pn), report, family, all_fams,
                    exceptional, is_detectably_ribbon(pn), status, reason)
 
@@ -225,7 +226,9 @@ def analyze(params, node_limit: int | None = None,
 def _class_facts(ms, node_limit, cache):
     """(kind, ObstructionReport, primary family, all families, exceptional,
     status, reason) of the sorted, normalized multiset ms, each computed
-    once.
+    once.  The callers have validated ms as a knot, so the negative definite
+    graph and the determinant come from one plumbing construction that does
+    not validate again.
 
     NotSlice short-circuits before the embedding search whenever the
     determinant or the signature already obstructs.  The signature and the
@@ -233,9 +236,8 @@ def _class_facts(ms, node_limit, cache):
     parameters so that every mutant gets the same graph.
     """
     kind = classify_type(ms)
-    det = determinant(ms)
+    g, det = _graph_and_determinant(ms)
     det_square = math.isqrt(det) ** 2 == det
-    g = negative_definite_graph(ms)
     sig = -graph_signature(g) if g.mirrored else graph_signature(g)
     # ms is sorted, so the reversed negation is its sorted mirror
     cls = MutationClass(ms, min(ms, tuple(-x for x in reversed(ms))))
@@ -324,11 +326,13 @@ class ClassRecord:
 
 def class_record(ms, node_limit: int | None = None,
                  cache: dict | None = None) -> ClassRecord:
-    """The report row of the mutation class of ms: fiberedness at class
-    level (class_fiberable), the rest from _class_facts."""
-    fiberable, subcase = class_fiberable(ms)
+    """The report row of the mutation class of ms.  ms is normalized first,
+    once: fiberedness at class level (class_fiberable) and the rest
+    (_class_facts) both read that one sorted, normalized key."""
+    key = tuple(sorted(normalize(ms)))
+    fiberable, subcase = _class_fiberable(key)
     kind, rep, family, _, exceptional, status, _ = _class_facts(
-        tuple(sorted(normalize(ms))), node_limit, cache)
+        key, node_limit, cache)
     don = rep.donaldson
     searched = don is not None   # a NOT_EMBEDDABLE result is falsy
     return ClassRecord(
@@ -342,8 +346,8 @@ def class_record(ms, node_limit: int | None = None,
 def enumerate_classes(max_strands: int, max_abs_param: int,
                       node_limit: int | None = None,
                       cache: dict | None = None):
-    """Stream one ClassRecord per mutation class, in canonical key order."""
-    if cache is None:
-        cache = {}
+    """Stream one ClassRecord per mutation class, in canonical key order.
+    No two classes of one enumeration share a negative definite graph, so
+    only a cache passed in (one kept across runs) can save a search."""
     for ms in sorted(knot_classes(max_strands, max_abs_param)):
         yield class_record(ms, node_limit=node_limit, cache=cache)

@@ -8,10 +8,11 @@ Subcommands:
   enumerate  bounded enumeration of mutation classes with a CSV/JSONL report
 
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
-parameter, link where a knot is required, unwritable output, bad or
-unreadable cache file, bad cache directory, enumeration bounds too small,
-node limit or --jobs not a positive integer, embed --exhaustive above
-rank 12), 3 = search gave up at the node limit.
+parameter, link where a knot is required, a parameter too large to build
+its graph (|q| > sys.maxsize), unwritable output, bad or unreadable cache
+file, bad cache directory, enumeration bounds too small, node limit or
+--jobs not a positive integer, embed --exhaustive above rank 12), 3 =
+search gave up at the node limit.
 One node-limit rule: --node-limit (default PRETZELC_NODE_LIMIT, else no
 limit) caps the search the same way in analyze, embed and enumerate, at any
 rank.  embed --exhaustive refuses rank > 12 with or without a limit (exit
@@ -44,7 +45,7 @@ import re
 import sys
 import time
 
-from .core import NotAKnotError, parse_params
+from .core import classify_type, parse_params
 from .classify import Status, analyze, class_record, knot_classes
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, wu_vertices)
@@ -75,12 +76,24 @@ def _node_limit_from(args):
     return limit
 
 
-def _parse_or_die(text):
+def _knot(text):
+    """The parameters of text, or None after reporting text that is not a
+    knot whose negative definite graph can be built.  A parameter q becomes
+    a leg of up to |q| - 1 vertices (q or -q, by the mirror), and no tuple
+    is longer than sys.maxsize."""
     try:
-        return parse_params(text)
+        params = parse_params(text)
+        if not classify_type(params).is_knot():
+            raise ValueError("%s is a pretzel link, not a knot" % text)
+        too_big = [x for x in params if abs(x) > sys.maxsize]
+        if too_big:
+            raise ValueError("parameter %d is too large: |q| above "
+                             "sys.maxsize gives no plumbing graph"
+                             % too_big[0])
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(2)
+        return None
+    return params
 
 
 def record_to_json(verdict, ms_elapsed) -> dict:
@@ -130,14 +143,12 @@ def _family_text(fam):
 
 
 def cmd_analyze(args):
-    params = _parse_or_die(args.params)
+    params = _knot(args.params)
+    if params is None:
+        return 2
     start = time.monotonic()
     verdict = analyze(params, node_limit=_node_limit_from(args))
     ms = int((time.monotonic() - start) * 1000)
-    if verdict.status is Status.NOT_APPLICABLE:
-        print("error: %s is a pretzel link, not a knot" % (args.params,),
-              file=sys.stderr)
-        return 2
     if args.json:
         print(json.dumps(record_to_json(verdict, ms), sort_keys=True))
     else:
@@ -161,12 +172,10 @@ def cmd_analyze(args):
 
 
 def cmd_embed(args):
-    params = _parse_or_die(args.params)
-    try:
-        g = negative_definite_graph(params)
-    except NotAKnotError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    params = _knot(args.params)
+    if params is None:
         return 2
+    g = negative_definite_graph(params)
     limit = _node_limit_from(args)
     if args.exhaustive and g.rank > EXHAUSTIVE_RANK_LIMIT:
         # the oracle lists every vector of a norm before it counts a node,
@@ -201,12 +210,10 @@ def cmd_embed(args):
 
 
 def cmd_graph(args):
-    params = _parse_or_die(args.params)
-    try:
-        g = negative_definite_graph(params)
-    except NotAKnotError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    params = _knot(args.params)
+    if params is None:
         return 2
+    g = negative_definite_graph(params)
     print(to_dot(g, wu_vertices(g)))
     return 0
 
@@ -241,6 +248,21 @@ def _cache_path(directory):
     return os.path.join(directory, "donaldson-cache.jsonl")
 
 
+def _int(value):
+    """value, when it is a JSON integer (not a bool); else ValueError."""
+    if type(value) is not int:
+        raise ValueError("not an integer: %r" % (value,))
+    return value
+
+
+def _int_rows(value):
+    """A JSON list of integer lists as a tuple of tuples; else ValueError."""
+    if not isinstance(value, list) or \
+            not all(isinstance(row, list) for row in value):
+        raise ValueError("not a list of integer lists: %r" % (value,))
+    return tuple(tuple(map(_int, row)) for row in value)
+
+
 def _load_cache(directory):
     """Cached search results, or None after reporting a cache file that
     cannot be opened or has a malformed line."""
@@ -258,12 +280,14 @@ def _load_cache(directory):
         for n, line in enumerate(fh, 1):
             try:
                 obj = json.loads(line)
-                key = (obj["center"],
-                       tuple(tuple(leg) for leg in obj["legs"]))
-                witness = tuple(tuple(r) for r in obj["witness"]) \
-                    if obj["witness"] else None
-                res = EmbeddingResult(
-                    DonaldsonStatus(obj["status"]), witness, obj["nodes"])
+                key = (_int(obj["center"]), _int_rows(obj["legs"]))
+                rows = obj["witness"]
+                witness = None if rows is None else _int_rows(rows)
+                res = EmbeddingResult(DonaldsonStatus(obj["status"]),
+                                      witness or None, _int(obj["nodes"]))
+                if (res.status is DonaldsonStatus.EMBEDDABLE) != bool(witness):
+                    raise ValueError("a witness belongs to exactly the "
+                                     "embeddable entries")
             except (ValueError, KeyError, TypeError) as exc:
                 print("error: bad cache file %s line %d: %s"
                       % (path, n, exc), file=sys.stderr)

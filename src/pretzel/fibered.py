@@ -260,6 +260,16 @@ def fiber_subcase(params) -> Subcase:
 def class_fiberable(ms):
     """(fiberable, subcase) for a mutation class: is some ordering fibered?
 
+    The list is normalized first, as in is_fibered, so any ordering of any
+    presentation of the knot gets the verdict of its normalized class.
+    Raises ValueError on a link.
+    """
+    return _class_fiberable(normalize(ms))
+
+
+def _class_fiberable(ms):
+    """class_fiberable of an already normalized list.
+
     Decided by sign counting.  Type 1 and the unbalanced subcases (2A, 3A)
     do not depend on the order at all.  In the balanced cases the auxiliary
     link of a suitable ordering realizes any cyclic ±2 word with the given

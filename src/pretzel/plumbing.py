@@ -37,11 +37,13 @@ and the centre pivot is c - sum over the legs of 1/p_1.  Hence:
   with the centre's drop of 1 is the -1/q of a +q parameter.
 
 The pivots are carried as continuants, integer determinants of the leg
-tails (_eliminate_leaves), so that one O(rank) pass of integer arithmetic
-gives the definiteness of the reduced graph, and on the star graph the
-knot determinant and e(Y).  The dense
-routines (incidence_matrix, bareiss_determinant, is_negative_definite)
-stay for matrix inputs and as test oracles for this pass.
+tails (_eliminate_leaves), one O(rank) pass of integer arithmetic.  A
+class needs two such passes: the pass over the star graph gives the knot
+determinant |det| and the sign of e(Y) (which decides the mirror), and the
+pass over the reduced graph checks that it is negative definite
+(_require_negative_definite).  The dense routines (incidence_matrix,
+bareiss_determinant, is_negative_definite) stay for matrix inputs and as
+test oracles for this pass.
 
 All arithmetic is exact (big integers and fractions); nothing here touches
 floating point.
@@ -52,8 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NotAKnotError, as_params, classify_type, mirror, \
-    nonunitary, unitary_count_and_sign
+from .core import NotAKnotError, as_params, classify_type, nonunitary, \
+    unitary_count_and_sign
 
 
 class PlumbingError(RuntimeError):
@@ -119,31 +121,34 @@ def euler_number(params) -> Fraction:
 def negative_definite_graph(params) -> StarGraph:
     """The canonical negative definite plumbing graph of the knot (mirroring
     first when e(Y) > 0).  The result is verified negative definite."""
-    p = _require_knot(params)
-    det, prod, _ = _eliminate_leaves(_star(p))
-    e = Fraction(-det, prod)
-    mirrored = False
-    if e == 0:
-        # |H_1| = |e| * |product of p_i| is odd and nonzero for a knot.
-        raise PlumbingError("Euler number zero: impossible for a knot")
-    if e > 0:
-        p = mirror(p)
-        mirrored = True
-    d, sign = unitary_count_and_sign(p)
-    center = -sign * d
+    return _graph_and_determinant(_require_knot(params))[0]
+
+
+def _graph_and_determinant(p) -> tuple[StarGraph, int]:
+    """(negative_definite_graph, determinant) of an already validated list
+    p with no opposite-sign unitary pair: one leaf pass over the star graph
+    for |det| and the sign of e(Y) = -det/P, one over the result for the
+    guard."""
+    star = _star(p)
+    det, prod, _ = _eliminate_leaves(star)
+    flip = -1 if det * prod < 0 else 1   # e(Y) > 0: mirror
+    center = flip * star.center_weight
     legs = []
-    for w in nonunitary(p):
+    for (w,) in star.legs:
+        w *= flip
         if w >= 2:
             legs.append((-2,) * (w - 1))
             center -= 1
         else:
             legs.append((w,))
-    return _require_negative_definite(StarGraph(center, tuple(legs), mirrored))
+    g = StarGraph(center, tuple(legs), flip < 0)
+    return _require_negative_definite(g), abs(det)
 
 
 def _require_negative_definite(g: StarGraph) -> StarGraph:
     """g itself, after checking that every leaf-to-centre pivot is negative;
-    the guard against a construction bug."""
+    the guard against a construction bug.  It also rejects e(Y) = 0, whose
+    centre pivot is 0 (impossible for a knot: |H_1| = |e(Y) * P| is odd)."""
     det, _, legs_negative = _eliminate_leaves(g)
     if not (legs_negative and det > 0):
         raise PlumbingError("reduction failed to produce a negative definite "

@@ -3,12 +3,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pretzel import (DonaldsonStatus, FiberStatus, Kind, Status, analyze,
-                     class_fiberable, detectably_ribbon_reduce,
+from pretzel import (DonaldsonStatus, FiberStatus, Kind, Status, Subcase,
+                     analyze, class_fiberable, detectably_ribbon_reduce,
                      enumerate_classes, is_detectably_ribbon, is_exceptional,
                      knot_classes, match_family, mirror, mutation_class,
                      normalize)
 import pretzel.classify
+import pretzel.fibered
+import pretzel.plumbing
 from pretzel.classify import class_record
 
 from conftest import random_knot_params
@@ -163,12 +165,29 @@ def test_analyze_exceptional():
     assert v.status in (Status.EXCEPTIONAL, Status.NOT_SLICE)
 
 
+# The 16 classes of the 5x15 bound that are class-fiberable (T2B) and pass
+# every obstruction computed here but match no family.
+UNMATCHED_5X15 = [
+    (-8, -5, 3), (-8, -5, -3, 3, 3), (-8, -5, -5, 3, 5),
+    (-8, -7, -5, 3, 7), (-9, -8, -5, 3, 9), (-11, -8, -5, 3, 11),
+    (-13, -8, -5, 3, 13), (-15, -8, -5, 3, 15),
+    (-12, -5, 3), (-12, -5, -3, 3, 3), (-12, -5, -5, 3, 5),
+    (-12, -7, -5, 3, 7), (-12, -9, -5, 3, 9), (-12, -11, -5, 3, 11),
+    (-13, -12, -5, 3, 13), (-15, -12, -5, 3, 15),
+]
+
+
 def test_analyze_honest_on_resolved_cousin_of_exceptional_family():
-    # P(3,-5,-8) has the (a,-a-2,-(a+1)^2/2) shape at a=3, outside the
-    # unresolved residues 1, 97 mod 120.  Every cover-derived obstruction
-    # vanishes (det 1, sigma 0, the lattice embeds) and no ribbon family
-    # matches; deciding it needs tools outside this package, so the honest
-    # verdict is ObstructionsVanish, with the fibered flag set.
+    """Two patterns pass every obstruction and match no family: (3,-5,-8)
+    and (3,-5,-12), each alone or with one pair {q,-q}.
+
+    P(3,-5,-8) has the (a,-a-2,-(a+1)^2/2) shape at a=3, outside the
+    unresolved residues 1, 97 mod 120; (3,-5,-12) matches no family as
+    coded.  Every cover-derived obstruction vanishes (square det, sigma 0,
+    the lattice embeds); deciding them needs tools outside this package,
+    so the honest verdict is ObstructionsVanish, with the class fiberable.
+    A new obstruction or family changes these pins on purpose.
+    """
     v = analyze((3, -5, -8))
     assert not v.exceptional
     assert v.obstructions.det_value == 1
@@ -176,6 +195,11 @@ def test_analyze_honest_on_resolved_cousin_of_exceptional_family():
     assert v.family is None
     assert v.fibered.status is FiberStatus.FIBERED
     assert v.status is Status.OBSTRUCTIONS_VANISH
+    for key in UNMATCHED_5X15:
+        v = analyze(key)
+        assert v.status is Status.OBSTRUCTIONS_VANISH, key
+        assert v.family is None and not v.exceptional, key
+        assert class_fiberable(key) == (True, Subcase.T2B), key
 
 
 def test_analyze_inconclusive_with_node_limit():
@@ -271,17 +295,50 @@ def test_class_record_matches_analyze():
     keys = list(knot_classes(6, 6))
     assert len(keys) == 1111
     rng = random.Random(6161)
-    while len(keys) < 1311:
-        p = random_knot_params(rng, max_strands=7, max_abs=6)
-        if not (1 in p and -1 in p):   # class_fiberable rejects those
-            keys.append(p)
+    raw = [(1, -1, 1, -3, -3), (1, -1, 3, -3, 2)] + [
+        random_knot_params(rng, max_strands=7, max_abs=6)
+        for _ in range(200)]
     statuses = set()
-    for key in keys:
+    for key in keys + raw:
         rec = class_record(key)
         assert record_fields(rec) == record_from_verdict(analyze(key), key)
         assert (rec.fiberable, rec.subcase) == class_fiberable(key)
         statuses.add(rec.status)
     assert Status.NOT_SLICE in statuses and Status.RIBBON_KNOWN in statuses
+    # fiberedness and the obstructions describe the same normalized list:
+    # P(1,-1,1,-3,-3) is the fibered P(1,-3,-3), and the mixed-sign
+    # unitaries of P(1,-1,3,-3,2) cancel before the sign count
+    for p in raw:
+        fiberable = class_fiberable_by_scan(normalize(p))[0]
+        assert class_record(p).fiberable == fiberable, p
+    assert class_record((1, -1, 1, -3, -3)).fiberable is True
+
+
+def test_class_record_computes_each_fact_once(monkeypatch):
+    # per class: one normalization, no second validation in plumbing, and
+    # two leaf passes, over the star graph (|det| and the sign of e(Y))
+    # and over the reduced graph (the definiteness guard)
+    calls = dict.fromkeys(("normalize", "_require_knot", "_eliminate_leaves"),
+                          0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for module in (pretzel.classify, pretzel.fibered):
+        monkeypatch.setattr(module, "normalize",
+                            counted("normalize", module.normalize))
+    for name in ("_require_knot", "_eliminate_leaves"):
+        monkeypatch.setattr(pretzel.plumbing, name,
+                            counted(name, getattr(pretzel.plumbing, name)))
+    keys = list(knot_classes(6, 6))
+    assert len(keys) == 1111
+    for key in keys:
+        before = dict(calls)
+        class_record(key)
+        assert {n: calls[n] - before[n] for n in calls} == {
+            "normalize": 1, "_require_knot": 0, "_eliminate_leaves": 2}, key
 
 
 def test_enumeration_needs_no_ordered_verdict(monkeypatch):

@@ -197,6 +197,20 @@ def test_embed_rank_cap_only_exhaustive(capsys):
             assert err.splitlines() == [err.strip()]
 
 
+@pytest.mark.parametrize("command", ["analyze", "embed", "graph"])
+@pytest.mark.parametrize("params", ["99999999999999999999,3,5",
+                                    "3,5,9223372036854775808"])
+def test_parameter_too_large_for_its_graph_exit_2(command, params, capsys):
+    # a parameter q >= 2 becomes a chain of q - 1 vertices, and no tuple
+    # holds more than sys.maxsize = 2**63 - 1 entries, so the input check
+    # refuses it before anything is built
+    assert main([command, params]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: parameter ")
+    assert err.splitlines() == [err.strip()]
+
+
 def test_embed_link_rejected(capsys):
     rc = main(["embed", "2,2,3"])
     capsys.readouterr()
@@ -355,6 +369,36 @@ def test_enumerate_truncated_cache_exit_2(tmp_path):
     assert r.stderr.splitlines() == [r.stderr.strip()]
     assert r.stderr.startswith("error: bad cache file %s line %d: "
                                % (path, len(lines)))
+
+
+# one field of an embeddable entry set to a value the cache must refuse;
+# the last two break "a witness exactly for the embeddable entries"
+BAD_CACHE_FIELDS = [
+    ("nodes", "10x"), ("nodes", True), ("center", 1.5), ("center", None),
+    ("legs", [[-2, "a"]]), ("legs", -2), ("witness", [["a"]]),
+    ("witness", 7), ("witness", None), ("status", "not_embeddable"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_CACHE_FIELDS)
+def test_enumerate_cache_bad_field_exit_2(field, value, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["enumerate", "--max-strands", "3", "--max-param", "3",
+            "--format", "jsonl", "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "a.jsonl")]) == 0
+    capsys.readouterr()
+    path = cache / "donaldson-cache.jsonl"
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    n = next(i for i, e in enumerate(entries, 1)
+             if e["status"] == "embeddable")
+    entries[n - 1][field] = value
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out = tmp_path / "b.jsonl"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad cache file %s line %d: " % (path, n))
+    assert err.splitlines() == [err.strip()]
+    assert not out.exists()
 
 
 def test_enumerate_unwritable_output(tmp_path):

@@ -11,6 +11,7 @@ from pretzel import (NotAKnotError, PlumbingError, bareiss_determinant,
                      normalize, star_graph, to_dot)
 from pretzel import plumbing
 from pretzel.plumbing import (StarGraph, _eliminate_leaves,
+                              _graph_and_determinant,
                               _require_negative_definite)
 
 from conftest import random_knot_params
@@ -155,6 +156,19 @@ def test_determinant_examples():
     assert determinant((1, 1, 3, -4)) == 25       # odd perfect square
     assert determinant((1, 5, -3, -4)) == 37
     assert determinant((-1, -1, 2, 3, -5)) == 41
+    # on the star graph, so a parameter too large for a -2 chain is fine
+    assert determinant((10 ** 20 + 1, 3, 5)) == 8 * 10 ** 20 + 23
+
+
+def test_graph_and_determinant_from_one_star_pass(rng):
+    # the construction behind negative_definite_graph reads |det| and the
+    # sign of e(Y) off one leaf pass; check both against the public routes
+    for _ in range(500):
+        ms = tuple(sorted(normalize(random_knot_params(rng, max_abs=9))))
+        g, det = _graph_and_determinant(ms)
+        assert det == determinant(ms), ms
+        assert g.mirrored == (euler_number(ms) > 0), ms
+        assert is_negative_definite(incidence_matrix(g)), ms
 
 
 def test_determinant_against_cofactor_oracle():

@@ -36,6 +36,7 @@ neither of the ordered verdicts.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -160,9 +161,13 @@ def match_family(c: MutationClass) -> tuple[RibbonFamily | None,
 def is_exceptional(c: MutationClass) -> bool:
     """Pairs {p, -p} plus a triple (a, -a-2, -(a+1)^2/2), a = 1 or 97
     mod 120, up to mirror and reordering."""
-    if classify_type(c.multiset) is not Kind.TYPE2:
-        return False
-    for ms in (c.multiset, mirror(c.multiset)):
+    return classify_type(c.multiset) is Kind.TYPE2 and \
+        _exceptional_triple(c.multiset)
+
+
+def _exceptional_triple(multiset) -> bool:
+    """is_exceptional of a Type 2 multiset."""
+    for ms in (multiset, mirror(multiset)):
         for a in {x for x in ms if x > 0 and x % 120 in (1, 97)}:
             rest = _take(ms, (a, -a - 2, -((a + 1) ** 2) // 2))
             if rest is not None and _pairs(rest) is not None:
@@ -210,39 +215,40 @@ def analyze(params, node_limit: int | None = None) -> Verdict:
     (_class_facts) plus the two verdicts that depend on the order, Gabai
     fiberedness and the adjacent-pair ribbon move."""
     p = as_params(params)
-    kind = classify_type(p)
-    if kind is Kind.LINK:
-        return Verdict(p, p, kind,
+    if classify_type(p) is Kind.LINK:
+        return Verdict(p, p, Kind.LINK,
                        FiberVerdict(FiberStatus.NOT_A_KNOT, Subcase.NONE),
                        None, None, (), False, False, Status.NOT_APPLICABLE,
                        reason="link")
     pn = normalize(p)
-    kind, report, family, all_fams, exceptional, status, reason = \
-        _class_facts(tuple(sorted(pn)), node_limit, None)
-    return Verdict(p, pn, kind, is_fibered(pn), report, family, all_fams,
-                   exceptional, is_detectably_ribbon(pn), status, reason)
+    # normalizing can trade a Type 2 for a Type 3 knot, so pn is classified
+    kind = classify_type(pn)
+    report, family, all_fams, exceptional, status, reason = \
+        _class_facts(tuple(sorted(pn)), kind, node_limit, None)
+    return Verdict(p, pn, kind, is_fibered(pn, _normalized=True), report,
+                   family, all_fams, exceptional, is_detectably_ribbon(pn),
+                   status, reason)
 
 
-def _class_facts(ms, node_limit, cache):
-    """(kind, ObstructionReport, primary family, all families, exceptional,
-    status, reason) of the sorted, normalized multiset ms, each computed
-    once.  The callers have validated ms as a knot, so the negative definite
-    graph and the determinant come from one plumbing construction that does
-    not validate again.
+def _class_facts(ms, kind, node_limit, cache):
+    """(ObstructionReport, primary family, all families, exceptional,
+    status, reason) of the sorted, normalized multiset ms of the given
+    kind, each computed once.  The callers have validated ms as a knot, so
+    the negative definite graph and the determinant come from one plumbing
+    construction that does not validate again.
 
     NotSlice short-circuits before the embedding search whenever the
     determinant or the signature already obstructs.  The signature and the
     Donaldson search read one negative definite graph, built on the sorted
     parameters so that every mutant gets the same graph.
     """
-    kind = classify_type(ms)
     g, det = _graph_and_determinant(ms)
     det_square = math.isqrt(det) ** 2 == det
     sig = -graph_signature(g) if g.mirrored else graph_signature(g)
     # ms is sorted, so the reversed negation is its sorted mirror
     cls = MutationClass(ms, min(ms, tuple(-x for x in reversed(ms))))
     family, all_fams = match_family(cls)
-    exceptional = is_exceptional(cls)
+    exceptional = kind is Kind.TYPE2 and _exceptional_triple(ms)
 
     donaldson = reason = None
     if not det_square:
@@ -262,7 +268,7 @@ def _class_facts(ms, node_limit, cache):
         else:
             status = Status.OBSTRUCTIONS_VANISH
     report = ObstructionReport(det, det_square, sig, donaldson)
-    return kind, report, family, all_fams, exceptional, status, reason
+    return report, family, all_fams, exceptional, status, reason
 
 
 def _donaldson(g, node_limit, cache):
@@ -280,32 +286,47 @@ def _donaldson(g, node_limit, cache):
 # ---------------------------------------------------------------------------
 # desk-scale enumeration
 
-def _normalized_multiset(ms) -> bool:
-    s = set(ms)
-    if 1 in s and -1 in s:
-        return False
-    if (1 in s and -2 in s) or (-1 in s and 2 in s):
-        return False
-    return True
-
-
 def knot_classes(max_strands: int, max_abs_param: int):
     """Canonical representatives (sorted multisets, mirror-deduplicated) of
-    all normalized pretzel-knot mutation classes within the bounds."""
+    all normalized pretzel-knot mutation classes within the bounds, ordered
+    by strand count n and then lexicographically.
+
+    Only candidates that can be knots are built.  A pretzel knot has at most
+    one even parameter (classify_type), so the n-strand candidates are the
+    all-odd multisets when n is odd (Type 1) and, for every n, each all-odd
+    multiset of n - 1 strands with one even value merged into its sorted
+    place (Types 2 and 3).  A candidate is kept when it is normalized (no
+    opposite-sign unitaries, no (±1, ∓2) pair) and is not larger than its
+    sorted mirror.  One strand count's keys are held at a time.
+    """
     if max_strands < 3 or max_abs_param < 2:
         raise ValueError("bounds too small: need max_strands >= 3, "
                          "max_abs_param >= 2")
-    values = [v for v in range(-max_abs_param, max_abs_param + 1) if v != 0]
-    for n in range(3, max_strands + 1):
+    values = range(-max_abs_param, max_abs_param + 1)
+    odds = [v for v in values if v % 2]
+    evens = [v for v in values if v and v % 2 == 0]
+
+    def odd_bases(n):
         # the values ascend, so each combination is already a sorted tuple
-        for ms in itertools.combinations_with_replacement(values, n):
-            if not _normalized_multiset(ms):
-                continue
-            if not classify_type(ms).is_knot():
-                continue
-            if ms > tuple(-x for x in reversed(ms)):
-                continue
-            yield ms
+        for base in itertools.combinations_with_replacement(odds, n):
+            if not (1 in base and -1 in base):
+                yield base
+
+    def candidates(n):
+        if n % 2:
+            yield from odd_bases(n)
+        for base in odd_bases(n - 1):
+            for e in evens:
+                if (e == -2 and 1 in base) or (e == 2 and -1 in base):
+                    continue
+                i = bisect.bisect(base, e)
+                yield base[:i] + (e,) + base[i:]
+
+    for n in range(3, max_strands + 1):
+        keys = [ms for ms in candidates(n)
+                if ms <= tuple(-x for x in reversed(ms))]
+        keys.sort()
+        yield from keys
 
 
 @dataclass(frozen=True)
@@ -326,13 +347,15 @@ class ClassRecord:
 
 def class_record(ms, node_limit: int | None = None,
                  cache: dict | None = None) -> ClassRecord:
-    """The report row of the mutation class of ms.  ms is normalized first,
-    once: fiberedness at class level (class_fiberable) and the rest
-    (_class_facts) both read that one sorted, normalized key."""
+    """The report row of the mutation class of ms.  ms is normalized and
+    classified first, once: fiberedness at class level (class_fiberable)
+    and the rest (_class_facts) both read that one sorted, normalized key
+    and its kind."""
     key = tuple(sorted(normalize(ms)))
-    fiberable, subcase = _class_fiberable(key)
-    kind, rep, family, _, exceptional, status, _ = _class_facts(
-        key, node_limit, cache)
+    kind = classify_type(key)
+    fiberable, subcase = _class_fiberable(key, kind)
+    rep, family, _, exceptional, status, _ = _class_facts(
+        key, kind, node_limit, cache)
     don = rep.donaldson
     searched = don is not None   # a NOT_EMBEDDABLE result is falsy
     return ClassRecord(

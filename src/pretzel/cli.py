@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
 parameter, link where a knot is required, a parameter too large to build
-its graph (|q| > sys.maxsize), unwritable output, bad or unreadable cache
+its graph (|q| > sys.maxsize, or a negative definite graph of rank above
+MAX_GRAPH_RANK = 4000), unwritable output, bad or unreadable cache
 file, bad cache directory, enumeration bounds too small, node limit or
 --jobs not a positive integer, embed --exhaustive above rank 12), 3 =
 search gave up at the node limit.
@@ -45,13 +46,17 @@ import re
 import sys
 import time
 
-from .core import classify_type, parse_params
+from .core import classify_type, nonunitary, normalize, parse_params
 from .classify import Status, analyze, class_record, knot_classes
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, wu_vertices)
-from .plumbing import negative_definite_graph, to_dot
+from .plumbing import euler_number, negative_definite_graph, to_dot
 
 EXHAUSTIVE_RANK_LIMIT = 12
+# Graphs above this rank are refused before they are built.  Building and
+# printing one is O(rank); the search reads a dense rank x rank matrix,
+# 16 million entries at 4,000.
+MAX_GRAPH_RANK = 4000
 
 CSV_HEADER = ("class_key,kind,subcase,fibered,det,det_square,sigma,"
               "donaldson,family,exceptional,status,nodes,ms")
@@ -76,11 +81,22 @@ def _node_limit_from(args):
     return limit
 
 
+def _reduced_rank(params):
+    """The rank of the knot's negative definite graph, from the parameters
+    alone: after normalizing and mirroring to e(Y) < 0, the centre plus one
+    vertex per non-unitary weight w, or w - 1 for a chain when w >= 2."""
+    p = normalize(params)
+    flip = -1 if euler_number(p) > 0 else 1
+    return 1 + sum(flip * w - 1 if flip * w >= 2 else 1
+                   for w in nonunitary(p))
+
+
 def _knot(text):
     """The parameters of text, or None after reporting text that is not a
     knot whose negative definite graph can be built.  A parameter q becomes
     a leg of up to |q| - 1 vertices (q or -q, by the mirror), and no tuple
-    is longer than sys.maxsize."""
+    is longer than sys.maxsize.  The rank is checked against
+    MAX_GRAPH_RANK before any graph is built."""
     try:
         params = parse_params(text)
         if not classify_type(params).is_knot():
@@ -90,6 +106,11 @@ def _knot(text):
             raise ValueError("parameter %d is too large: |q| above "
                              "sys.maxsize gives no plumbing graph"
                              % too_big[0])
+        rank = _reduced_rank(params)
+        if rank > MAX_GRAPH_RANK:
+            raise ValueError("graph rank %d exceeds %d, the largest "
+                             "negative definite graph pretzelc builds"
+                             % (rank, MAX_GRAPH_RANK))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return None

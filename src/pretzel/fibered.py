@@ -234,16 +234,17 @@ def _decide(params) -> FiberVerdict:
     return _verdict(matches_extra_minus_two_model(w), Subcase.T3B)
 
 
-def is_fibered(params) -> FiberVerdict:
+def is_fibered(params, *, _normalized=False) -> FiberVerdict:
     """Fiberedness verdict for the pretzel of the given (ordered) parameters.
 
     The list is normalized first; the order of the surviving parameters
     matters for Types 2B and 3B.  Links get status NOT_A_KNOT.  Type 2C
     knots are isotopic to Type 3 pretzels whose parameters this package does
     not compute, so they return REDUCES_TO_TYPE3 rather than a guess.
+    _normalized=True skips the normalization of a list that already went
+    through it (classify.analyze).
     """
-    p = normalize(params)
-    return _decide(p)
+    return _decide(params if _normalized else normalize(params))
 
 
 def fiber_subcase(params) -> Subcase:
@@ -264,11 +265,12 @@ def class_fiberable(ms):
     presentation of the knot gets the verdict of its normalized class.
     Raises ValueError on a link.
     """
-    return _class_fiberable(normalize(ms))
+    p = normalize(ms)
+    return _class_fiberable(p, classify_type(p))
 
 
-def _class_fiberable(ms):
-    """class_fiberable of an already normalized list.
+def _class_fiberable(ms, kind):
+    """class_fiberable of an already normalized list of the given kind.
 
     Decided by sign counting.  Type 1 and the unbalanced subcases (2A, 3A)
     do not depend on the order at all.  In the balanced cases the auxiliary
@@ -276,7 +278,6 @@ def _class_fiberable(ms):
     sign counts, so only the counts matter; the equivalence with the full
     ordering scan (tests/fiber_scan_oracle.py) is property-tested.
     """
-    kind = classify_type(ms)
     if not kind.is_knot():
         raise ValueError("not a knot class")
     free = _order_free(ms, kind)

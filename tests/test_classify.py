@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ import pretzel.fibered
 import pretzel.plumbing
 from pretzel.classify import class_record
 
+from class_scan_oracle import knot_classes_by_scan
 from conftest import random_knot_params
 from fiber_scan_oracle import class_fiberable_by_scan
 
@@ -233,6 +236,32 @@ def test_knot_classes_small():
         assert ms == mutation_class(ms).mirror_normalized
 
 
+def test_knot_classes_match_scan_oracle():
+    # the parity generator gives the scan's keys in the scan's order
+    for n in range(3, 7):
+        for m in range(2, 8):
+            assert list(knot_classes(n, m)) == \
+                list(knot_classes_by_scan(n, m)), (n, m)
+
+
+@pytest.mark.parametrize("bound, count, digest", [
+    ((8, 7), 15414, "9b8af576d4dd8981"),
+    ((5, 15), 39654, "6c443572aa7146ac"),
+    ((6, 11), 29414, "ff354219773e7179"),
+])
+def test_knot_classes_pinned(bound, count, digest):
+    # count and sha256 of the key sequence, as the combination scan gave them
+    keys = list(knot_classes(*bound))
+    assert len(keys) == count
+    assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("bound", [(2, 5), (3, 1)])
+def test_knot_classes_bounds_too_small(bound):
+    with pytest.raises(ValueError, match="bounds too small"):
+        list(knot_classes(*bound))
+
+
 def test_class_count_monotone():
     a = len(list(knot_classes(3, 3)))
     b = len(list(knot_classes(4, 3)))
@@ -339,6 +368,48 @@ def test_class_record_computes_each_fact_once(monkeypatch):
         class_record(key)
         assert {n: calls[n] - before[n] for n in calls} == {
             "normalize": 1, "_require_knot": 0, "_eliminate_leaves": 2}, key
+
+
+def counting(monkeypatch, name, modules):
+    """A dict whose name entry counts the calls of name made through the
+    globals of each of modules."""
+    calls = {name: 0}
+    for module in modules:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn):
+            calls[name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_analyze_normalizes_once(monkeypatch):
+    # the ordered fiberedness verdict reads the list analyze normalized
+    calls = counting(monkeypatch, "normalize",
+                     (pretzel.classify, pretzel.fibered))
+    rng = random.Random(1313)
+    raw = [random_knot_params(rng, max_strands=7, max_abs=6)
+           for _ in range(200)]
+    keys = list(knot_classes(6, 6))
+    assert len(keys) == 1111
+    for p in keys + raw:
+        before = calls["normalize"]
+        analyze(p)
+        assert calls["normalize"] - before == 1, p
+
+
+def test_class_record_classifies_once(monkeypatch):
+    # the kind of the key is found once and read by fiberedness, the
+    # obstructions and the exceptional test alike
+    calls = counting(monkeypatch, "classify_type",
+                     (pretzel.classify, pretzel.fibered, pretzel.plumbing))
+    keys = list(knot_classes(6, 6))
+    assert len(keys) == 1111
+    for key in keys:
+        before = calls["classify_type"]
+        class_record(key)
+        assert calls["classify_type"] - before == 1, key
 
 
 def test_enumeration_needs_no_ordered_verdict(monkeypatch):

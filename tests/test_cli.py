@@ -1,14 +1,16 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from pretzel.cli import CSV_HEADER, main, record_to_json
+from pretzel.cli import (CSV_HEADER, MAX_GRAPH_RANK, _reduced_rank, main,
+                        record_to_json)
 from pretzel import (analyze, incidence_matrix, negative_definite_graph,
-                     wu_vertices)
+                     normalize, wu_vertices)
 
 from conftest import random_knot_params
 
@@ -209,6 +211,34 @@ def test_parameter_too_large_for_its_graph_exit_2(command, params, capsys):
     assert out == ""
     assert err.startswith("error: parameter ")
     assert err.splitlines() == [err.strip()]
+
+
+@pytest.mark.parametrize("command", ["analyze", "embed", "graph"])
+@pytest.mark.parametrize("params", ["9223372036854775807,3,5",
+                                    "-9223372036854775807,-3,-5",
+                                    "10000000000,3,5"])
+def test_graph_rank_too_large_exit_2(command, params, capsys, monkeypatch):
+    # the rank comes from the parameters; no graph is built for the refusal
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+    for name in ("analyze", "negative_definite_graph"):
+        monkeypatch.setattr("pretzel.cli." + name, refuse)
+    monkeypatch.setattr("pretzel.plumbing._graph_and_determinant", refuse)
+    assert main([command, params]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: graph rank ")
+    assert "exceeds %d" % MAX_GRAPH_RANK in err
+    assert err.splitlines() == [err.strip()]
+
+
+def test_reduced_rank_matches_the_graph():
+    rng = random.Random(909)
+    for _ in range(500):
+        p = random_knot_params(rng, max_strands=8, max_abs=9)
+        assert _reduced_rank(p) == negative_definite_graph(normalize(p)).rank
+    # a huge weight that stays a single vertex after the mirror is fine
+    assert _reduced_rank((9223372036854775807, -3, -5)) == 8
 
 
 def test_embed_link_rejected(capsys):
@@ -413,6 +443,14 @@ def test_enumerate_bounds_too_small_exit_2(strands, param):
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
     assert "Traceback" not in r.stderr
+
+
+def test_enumerate_two_strands_one_error_line(capsys):
+    assert main(["enumerate", "--max-strands", "2", "--max-param", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bounds too small")
+    assert err.splitlines() == [err.strip()]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -45,7 +45,7 @@ from enum import Enum
 from .core import (Kind, MutationClass, as_params, classify_type, mirror,
                    normalize)
 from .fibered import (FiberStatus, FiberVerdict, Subcase, _class_fiberable,
-                      is_fibered)
+                      _decide)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, graph_signature)
 from .plumbing import _graph_and_determinant
@@ -225,9 +225,8 @@ def analyze(params, node_limit: int | None = None) -> Verdict:
     kind = classify_type(pn)
     report, family, all_fams, exceptional, status, reason = \
         _class_facts(tuple(sorted(pn)), kind, node_limit, None)
-    return Verdict(p, pn, kind, is_fibered(pn, _normalized=True), report,
-                   family, all_fams, exceptional, is_detectably_ribbon(pn),
-                   status, reason)
+    return Verdict(p, pn, kind, _decide(pn), report, family, all_fams,
+                   exceptional, is_detectably_ribbon(pn), status, reason)
 
 
 def _class_facts(ms, kind, node_limit, cache):

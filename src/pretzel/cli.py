@@ -8,7 +8,8 @@ Subcommands:
   enumerate  bounded enumeration of mutation classes with a CSV/JSONL report
 
 Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
-parameter, link where a knot is required, a parameter too large to build
+parameter, a parameter string that expands to more than 4,000 parameters,
+link where a knot is required, a parameter too large to build
 its graph (|q| > sys.maxsize, or a negative definite graph of rank above
 MAX_GRAPH_RANK = 4000), unwritable output, bad or unreadable cache
 file, bad cache directory, enumeration bounds too small, node limit or
@@ -62,9 +63,13 @@ CSV_HEADER = ("class_key,kind,subcase,fibered,det,det_square,sigma,"
               "donaldson,family,exceptional,status,nodes,ms")
 
 
+class _InputError(Exception):
+    """Bad input: main prints "error: <message>" and exits 2."""
+
+
 def _node_limit_from(args):
     """--node-limit, else PRETZELC_NODE_LIMIT, else None; a value that is
-    not a positive integer ends the run with exit 2."""
+    not a positive integer is an input error."""
     text = args.node_limit
     if text is None:
         text = os.environ.get("PRETZELC_NODE_LIMIT") or None
@@ -75,9 +80,8 @@ def _node_limit_from(args):
     except ValueError:
         limit = 0
     if limit <= 0:
-        print("error: node limit must be a positive integer, got '%s'"
-              % text, file=sys.stderr)
-        raise SystemExit(2)
+        raise _InputError("node limit must be a positive integer, got '%s'"
+                          % text)
     return limit
 
 
@@ -92,8 +96,8 @@ def _reduced_rank(params):
 
 
 def _knot(text):
-    """The parameters of text, or None after reporting text that is not a
-    knot whose negative definite graph can be built.  A parameter q becomes
+    """The parameters of text; an input error when text is not a knot
+    whose negative definite graph can be built.  A parameter q becomes
     a leg of up to |q| - 1 vertices (q or -q, by the mirror), and no tuple
     is longer than sys.maxsize.  The rank is checked against
     MAX_GRAPH_RANK before any graph is built."""
@@ -112,8 +116,7 @@ def _knot(text):
                              "negative definite graph pretzelc builds"
                              % (rank, MAX_GRAPH_RANK))
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return None
+        raise _InputError(exc)
     return params
 
 
@@ -165,8 +168,6 @@ def _family_text(fam):
 
 def cmd_analyze(args):
     params = _knot(args.params)
-    if params is None:
-        return 2
     start = time.monotonic()
     verdict = analyze(params, node_limit=_node_limit_from(args))
     ms = int((time.monotonic() - start) * 1000)
@@ -194,17 +195,14 @@ def cmd_analyze(args):
 
 def cmd_embed(args):
     params = _knot(args.params)
-    if params is None:
-        return 2
     g = negative_definite_graph(params)
     limit = _node_limit_from(args)
     if args.exhaustive and g.rank > EXHAUSTIVE_RANK_LIMIT:
         # the oracle lists every vector of a norm before it counts a node,
         # so a node limit does not bound its work
-        print("error: graph rank %d exceeds %d, the largest the exhaustive "
-              "oracle takes" % (g.rank, EXHAUSTIVE_RANK_LIMIT),
-              file=sys.stderr)
-        return 2
+        raise _InputError("graph rank %d exceeds %d, the largest the "
+                          "exhaustive oracle takes"
+                          % (g.rank, EXHAUSTIVE_RANK_LIMIT))
     if args.exhaustive:
         # imported here so that other subcommands do not pay for importing it
         from .oracle import exhaustive_embedding
@@ -232,8 +230,6 @@ def cmd_embed(args):
 
 def cmd_graph(args):
     params = _knot(args.params)
-    if params is None:
-        return 2
     g = negative_definite_graph(params)
     print(to_dot(g, wu_vertices(g)))
     return 0
@@ -285,8 +281,8 @@ def _int_rows(value):
 
 
 def _load_cache(directory):
-    """Cached search results, or None after reporting a cache file that
-    cannot be opened or has a malformed line."""
+    """Cached search results; an input error when the cache file cannot
+    be opened or has a malformed line."""
     cache = {}
     path = _cache_path(directory)
     if not os.path.exists(path):
@@ -294,9 +290,7 @@ def _load_cache(directory):
     try:
         fh = open(path)
     except OSError as exc:
-        print("error: cannot read cache file %s: %s" % (path, exc),
-              file=sys.stderr)
-        return None
+        raise _InputError("cannot read cache file %s: %s" % (path, exc))
     with fh:
         for n, line in enumerate(fh, 1):
             try:
@@ -310,9 +304,8 @@ def _load_cache(directory):
                     raise ValueError("a witness belongs to exactly the "
                                      "embeddable entries")
             except (ValueError, KeyError, TypeError) as exc:
-                print("error: bad cache file %s line %d: %s"
-                      % (path, n, exc), file=sys.stderr)
-                return None
+                raise _InputError("bad cache file %s line %d: %s"
+                                  % (path, n, exc))
             # a search that gave up at a node limit decides nothing
             if res.status is not DonaldsonStatus.INCONCLUSIVE:
                 cache[key] = res
@@ -358,25 +351,20 @@ def _worker(task):
 
 def cmd_enumerate(args):
     if args.jobs < 1:
-        print("error: --jobs must be a positive integer, got %d" % args.jobs,
-              file=sys.stderr)
-        return 2
+        raise _InputError("--jobs must be a positive integer, got %d"
+                          % args.jobs)
     node_limit = _node_limit_from(args)
     if args.cache:
         try:
             os.makedirs(args.cache, exist_ok=True)
         except OSError as exc:
-            print("error: cannot create cache directory %s: %s"
-                  % (args.cache, exc), file=sys.stderr)
-            return 2
+            raise _InputError("cannot create cache directory %s: %s"
+                              % (args.cache, exc))
     cache = _load_cache(args.cache) if args.cache else {}
-    if cache is None:
-        return 2
     try:
         classes = sorted(knot_classes(args.max_strands, args.max_param))
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise _InputError(exc)
 
     records = []
     if args.jobs > 1:
@@ -402,18 +390,15 @@ def cmd_enumerate(args):
         try:
             _save_cache(args.cache, cache)
         except OSError as exc:
-            print("error: cannot write cache file %s: %s"
-                  % (_cache_path(args.cache), exc), file=sys.stderr)
-            return 2
+            raise _InputError("cannot write cache file %s: %s"
+                              % (_cache_path(args.cache), exc))
 
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print("error: cannot write %s: %s" % (args.out, exc),
-                  file=sys.stderr)
-            return 2
+            raise _InputError("cannot write %s: %s" % (args.out, exc))
     else:
         sys.stdout.write(text)
 
@@ -470,7 +455,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

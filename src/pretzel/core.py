@@ -49,13 +49,17 @@ def as_params(params) -> tuple[int, ...]:
 
 
 _BRACKET = re.compile(r"\[\s*(-?\d+)\s*\^\s*(-?\d+)\s*\]")
+# A parameter string expands to at most this many parameters; a longer one
+# is refused before anything is allocated.
+_MAX_PARAMS = 4000
 
 
 def parse_params(text: str) -> tuple[int, ...]:
     """Parse a comma-separated parameter string.
 
     Whitespace is tolerated and the bracketed shorthand ``[b^k]`` expands to
-    k copies of b, so "[1^4],-3,-3,-3" means (1,1,1,1,-3,-3,-3).
+    k copies of b, so "[1^4],-3,-3,-3" means (1,1,1,1,-3,-3,-3).  A string
+    that expands to more than 4,000 parameters is refused.
     """
     out = []
     for tok in text.split(","):
@@ -67,12 +71,15 @@ def parse_params(text: str) -> tuple[int, ...]:
             base, count = int(m.group(1)), int(m.group(2))
             if count < 1:
                 raise ValueError("repeat count must be positive in %r" % tok)
-            out.extend([base] * count)
         else:
             try:
-                out.append(int(tok))
+                base, count = int(tok), 1
             except ValueError:
                 raise ValueError("bad parameter %r" % tok) from None
+        if len(out) + count > _MAX_PARAMS:
+            raise ValueError("parameter string expands to more than %d "
+                             "parameters" % _MAX_PARAMS)
+        out.extend([base] * count)
     return as_params(out)
 
 

@@ -15,6 +15,17 @@ are treated as the same link when they differ by cyclic rotation, order
 reversal, or simultaneous negation of all entries; these are exactly the
 parameter moves that preserve the knot type of a pretzel diagram.
 
+One rule decides the models.  A word of n entries is ±P(2,-2,...,2,-2,t)
+up to these moves exactly when n is odd, n >= 3, and, once one entry is
+dropped, the other n-1 entries read cyclically from the next one are all
+±2 and alternate.  The moves keep which cyclic neighbours are equal, and a
+variant reading 2,-2,...,2,-2,t is an alternating path of n-1 entries
+followed by the dropped entry t; conversely an alternating path of even
+length starts with 2 either as read or negated.  For t = -2 the dropped
+entry must also be ±2 (reversing the word and negating it turns a tail t
+into -t while the path still starts with 2).  The alternating model
+±P(2,-2,...,2,-2) is the whole cycle alternating.
+
 Decision table (counts include unitary parameters; "odd parameters" below
 means all parameters except the unique even one):
 
@@ -129,45 +140,38 @@ def aux_link(params, kind: Kind) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # model-form comparison, up to rotation / reversal / global negation
 
-def _variants(word):
-    n = len(word)
-    for seq in (word, tuple(reversed(word))):
-        for s in (1, -1):
-            for r in range(n):
-                yield tuple(s * x for x in seq[r:] + seq[:r])
+def _alternates(seq) -> bool:
+    """Every entry of seq is ±2 and no two neighbours are equal."""
+    return all(abs(x) == 2 for x in seq) and \
+        all(a != b for a, b in zip(seq, seq[1:]))
 
 
 def is_alternating_model(word) -> bool:
-    """word = ±P(2,-2,...,2,-2) up to the comparison moves: even length,
-    all entries ±2, cyclically alternating."""
-    n = len(word)
-    if n < 2 or n % 2 == 1:
-        return False
-    if any(abs(x) != 2 for x in word):
-        return False
-    return all(word[i] != word[(i + 1) % n] for i in range(n))
+    """word = ±P(2,-2,...,2,-2) up to the comparison moves: at least two
+    entries, alternating around the cycle (so the length is even)."""
+    return len(word) >= 2 and _alternates(word + word[:1])
 
 
-def _matches_model(word, tail=None) -> bool:
-    """Some comparison variant of word reads 2,-2,2,-2,... and ends in tail
-    (in any last entry when tail is None)."""
+def _drop_one_alternates(word, two_tail) -> bool:
+    """word has odd length >= 3 and, once some entry is dropped, the others
+    read cyclically from the next one alternate; with two_tail the dropped
+    entry must be ±2 as well."""
     n = len(word)
-    head = ((2, -2) * n)[:n - 1]
-    return any(v[:-1] == head and (tail is None or v[-1] == tail)
-               for v in _variants(word))
+    return n >= 3 and n % 2 == 1 and any(
+        _alternates(word[i + 1:] + word[:i]) and
+        (not two_tail or abs(word[i]) == 2) for i in range(n))
 
 
 def matches_arbitrary_tail_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,n) for some integer n, at least one (2,-2)
     pair, up to the comparison moves."""
-    return len(word) >= 3 and len(word) % 2 == 1 and _matches_model(word)
+    return _drop_one_alternates(word, False)
 
 
 def matches_extra_minus_two_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,-2), at least one (2,-2) pair, up to the
     comparison moves."""
-    return len(word) >= 3 and len(word) % 2 == 1 and \
-        _matches_model(word, -2)
+    return _drop_one_alternates(word, True)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +211,7 @@ def _verdict(fibered, subcase) -> FiberVerdict:
 
 
 def _decide(params) -> FiberVerdict:
+    """is_fibered of a list that is already normalized."""
     kind = classify_type(params)
     if kind is Kind.LINK:
         return FiberVerdict(FiberStatus.NOT_A_KNOT, Subcase.NONE)
@@ -234,17 +239,15 @@ def _decide(params) -> FiberVerdict:
     return _verdict(matches_extra_minus_two_model(w), Subcase.T3B)
 
 
-def is_fibered(params, *, _normalized=False) -> FiberVerdict:
+def is_fibered(params) -> FiberVerdict:
     """Fiberedness verdict for the pretzel of the given (ordered) parameters.
 
     The list is normalized first; the order of the surviving parameters
     matters for Types 2B and 3B.  Links get status NOT_A_KNOT.  Type 2C
     knots are isotopic to Type 3 pretzels whose parameters this package does
     not compute, so they return REDUCES_TO_TYPE3 rather than a guess.
-    _normalized=True skips the normalization of a list that already went
-    through it (classify.analyze).
     """
-    return _decide(params if _normalized else normalize(params))
+    return _decide(normalize(params))
 
 
 def fiber_subcase(params) -> Subcase:

@@ -162,3 +162,40 @@ def test_no_unused_imports():
     modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
     assert len(modules) >= 7
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def private_definitions(tree):
+    """(name, line) for each module-level function, class or constant of
+    tree whose name has one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_no_orphaned_private_helpers():
+    # a private helper that no module of the package reads is left over
+    src = pathlib.Path(pretzel.__file__).parent
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(src.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    defined = [(f, name, line) for f, tree in trees.items()
+               for name, line in private_definitions(tree)]
+    assert len(defined) >= 20
+    assert ["%s:%d %s" % d for d in defined if d[1] not in read] == []

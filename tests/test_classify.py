@@ -417,7 +417,7 @@ def test_enumeration_needs_no_ordered_verdict(monkeypatch):
     # of analyze are never computed during an enumeration
     def refuse(*args, **kwargs):
         raise AssertionError("called during an enumeration")
-    for name in ("analyze", "is_fibered", "is_detectably_ribbon"):
+    for name in ("analyze", "_decide", "is_detectably_ribbon"):
         monkeypatch.setattr(pretzel.classify, name, refuse)
     recs = list(enumerate_classes(5, 5))
     assert len(recs) == len(list(knot_classes(5, 5)))

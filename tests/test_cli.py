@@ -232,6 +232,18 @@ def test_graph_rank_too_large_exit_2(command, params, capsys, monkeypatch):
     assert err.splitlines() == [err.strip()]
 
 
+@pytest.mark.parametrize("params", ["[3^100000000000000000000],-3",
+                                    "[3^4611686018427387904],-3"])
+def test_huge_repeat_count_exit_2(params, capsys):
+    # the expansion is refused before any list is allocated; a count past
+    # sys.maxsize would overflow an index, one below it fail the size check
+    assert main(["analyze", params]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: parameter string expands to more than 4000 " \
+        "parameters\n"
+
+
 def test_reduced_rank_matches_the_graph():
     rng = random.Random(909)
     for _ in range(500):

@@ -13,7 +13,10 @@ from pretzel.fibered import (even_last_orientations, is_alternating_model,
                              matches_extra_minus_two_model)
 
 from conftest import random_knot_params
-from fiber_scan_oracle import distinct_orderings
+from fiber_scan_oracle import (alternating_model_by_scan,
+                               arbitrary_tail_model_by_scan,
+                               distinct_orderings,
+                               extra_minus_two_model_by_scan)
 
 
 def fib(params):
@@ -76,6 +79,24 @@ def test_extra_minus_two_model():
     assert not matches_extra_minus_two_model((2, 2, 2))
     assert not matches_extra_minus_two_model((2, -2, 2, -2))
     assert not matches_extra_minus_two_model((2, 2, -2, -2, 2))
+
+
+def test_models_equal_their_scans():
+    """Each model function equals its oracle, which tries every rotation,
+    reversal and negation of the word, on all 9,841 words of length 0-8
+    over {2, -2, 4}.  These words are enough.  4 stands for every entry
+    other than ±2: both versions only compare such an entry with ±2
+    entries or test |x| = 2, so any other value gives the same answers.
+    Length 8 is enough for the 8-strand acceptance bound: the auxiliary
+    link of a knot of at most 8 strands has at most 8 entries."""
+    words = [w for n in range(9)
+             for w in itertools.product((2, -2, 4), repeat=n)]
+    assert len(words) == 9841
+    pairs = ((is_alternating_model, alternating_model_by_scan),
+             (matches_arbitrary_tail_model, arbitrary_tail_model_by_scan),
+             (matches_extra_minus_two_model, extra_minus_two_model_by_scan))
+    for model, scan in pairs:
+        assert [w for w in words if model(w) != scan(w)] == [], model
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def analyze(params, node_limit: int | None = None) -> Verdict:
     kind = classify_type(pn)
     report, family, all_fams, exceptional, status, reason = \
         _class_facts(tuple(sorted(pn)), kind, node_limit, None)
-    return Verdict(p, pn, kind, _decide(pn), report, family, all_fams,
+    return Verdict(p, pn, kind, _decide(pn, kind), report, family, all_fams,
                    exceptional, is_detectably_ribbon(pn), status, reason)
 
 

@@ -210,9 +210,8 @@ def _verdict(fibered, subcase) -> FiberVerdict:
         FiberStatus.FIBERED if fibered else FiberStatus.NOT_FIBERED, subcase)
 
 
-def _decide(params) -> FiberVerdict:
-    """is_fibered of a list that is already normalized."""
-    kind = classify_type(params)
+def _decide(params, kind) -> FiberVerdict:
+    """is_fibered of a list that is already normalized, of the given kind."""
     if kind is Kind.LINK:
         return FiberVerdict(FiberStatus.NOT_A_KNOT, Subcase.NONE)
     free = _order_free(params, kind)
@@ -247,7 +246,8 @@ def is_fibered(params) -> FiberVerdict:
     knots are isotopic to Type 3 pretzels whose parameters this package does
     not compute, so they return REDUCES_TO_TYPE3 rather than a guess.
     """
-    return _decide(normalize(params))
+    p = normalize(params)
+    return _decide(p, classify_type(p))
 
 
 def fiber_subcase(params) -> Subcase:

@@ -52,7 +52,11 @@ each column it branches on the negative values, steps on with 0, and
 branches on the positive values on the way back, which is ascending order
 at every column.  A candidate is yielded only where the walk reaches the
 fresh columns with every gap_t = need_t - (partial pairing so far) at 0
-and the fresh block takes exactly the norm left.
+and the fresh block takes exactly the norm left.  The fresh block is built
+by value: its largest entry a ascending, the number of copies of a
+ascending, then a block of entries below a.  That is lexicographic order
+again, and it opens one frame per distinct entry (at most sqrt(n)), not
+one per entry.
 
 Cauchy-Schwarz cuts the search: after column c, each placed row t must
 still be reachable, gap_t^2 <= remaining * S_t(c+1), with remaining the
@@ -91,12 +95,18 @@ centre and the legs by decreasing length (ties by leg index), each walked
 outward from the centre; a matrix input takes its other vertices in index
 order.
 
-Invariant: every pruning input (used columns, the support of each used
-column with its rows' suffix norms, the column groups keyed by those
-supports, gaps) is recomputed inside candidates() from the nonzero entries
-of the placed rows and handed to the module-level generators
-_fill_used/_fill_fresh; besides the placed rows the search keeps only a
-node count.
+Invariant: one loop places the rows, on a stack holding one candidate
+generator per placed row and one for the next row.  Taking a candidate
+from the top generator places a row; an exhausted generator is popped
+together with the row placed before it; an empty stack is the exhaustion
+certificate, and the node limit returns INCONCLUSIVE on the spot.  The one
+record kept per placed row is its nonzero entries as (column, entry), read
+off the live candidate vector before its generator resumes; the witness
+rows are written out from them once the search has succeeded.  Every
+pruning input (used columns, the support of each used column with its
+rows' suffix norms, the column groups keyed by those supports, gaps) is
+recomputed inside candidates() from these records and handed to the
+module-level generators _fill_used/_fill_fresh.
 Agreement with pretzel.oracle is tested on small and random graphs.
 """
 
@@ -255,28 +265,29 @@ class SearchConfig:
             raise ValueError("node_limit must be positive")
 
 
-class _LimitHit(Exception):
-    pass
-
-
 def _matrix_of(g_or_matrix):
     if isinstance(g_or_matrix, StarGraph):
         return incidence_matrix(g_or_matrix)
-    return [list(r) for r in g_or_matrix]
+    q = [list(r) for r in g_or_matrix]
+    if any(len(r) != len(q) for r in q) or q != [list(c) for c in zip(*q)]:
+        raise ValueError("Q must be a square symmetric matrix")
+    return q
 
 
 def _fill_fresh(vec, remaining, cap, col):
     """The fresh block from column col: positive, non-increasing entries
-    taking exactly the norm left."""
+    at most cap taking exactly the norm left, by value (module
+    docstring)."""
     if remaining == 0:
-        yield tuple(vec)
-        return
-    if col >= len(vec):
+        yield vec
         return
     for a in range(1, min(cap, math.isqrt(remaining)) + 1):
-        vec[col] = a
-        yield from _fill_fresh(vec, remaining - a * a, a, col + 1)
-        vec[col] = 0
+        end, left = col, remaining
+        while left >= a * a and end < len(vec):
+            vec[end] = a
+            end, left = end + 1, left - a * a
+            yield from _fill_fresh(vec, left, a - 1, end)
+        vec[col:end] = [0] * (end - col)
 
 
 def _fill_used(vec, gap, support, prev_in_group, start, remaining):
@@ -332,6 +343,8 @@ def _fill_used(vec, gap, support, prev_in_group, start, remaining):
 def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> EmbeddingResult:
     """Complete search for a lattice embedding -M M^T = Q.
 
+    One loop places the rows in the search order, keeping the nonzero
+    entries of each placed row and a node count (module docstring).
     Returns EMBEDDABLE with the first witness in the canonical enumeration
     order (deterministic), NOT_EMBEDDABLE only after exhausting the search
     space, or INCONCLUSIVE when node_limit was hit.  Every positive answer
@@ -366,18 +379,17 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     else:
         rest = range(k)
     order = [*wu, *(v for v in rest if v not in wu)]
-    # the placed rows, and the nonzero entries of each as (column, entry)
-    rows: list[tuple[int, ...]] = []
+    # the one record kept per placed row: its nonzeros as (column, entry)
     nonzeros: list[tuple[tuple[int, int], ...]] = []
-    nodes = 0
 
     def candidates(s):
+        """The candidates for row s, each yielded as the live vector."""
         n = norms[order[s]]
         # the used columns are a prefix, each nonzero (fresh-block rule)
         u = max((nz[-1][0] + 1 for nz in nonzeros), default=0)
         if s < len(wu):
             # independent Wu rows are disjoint blocks of ones
-            yield (0,) * u + (1,) * n + (0,) * (k - u - n)
+            yield [0] * u + [1] * n + [0] * (k - u - n)
             return
         qv = q[order[s]]
         # need - partial pairing with each placed row, before column 0
@@ -402,36 +414,32 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             last_seen[key] = c
         yield from _fill_used([0] * k, gap, support, prev_in_group, 0, n)
 
-    def place(s):
-        nonlocal nodes
-        if s == k:
-            return tuple(rows)
-        for cand in candidates(s):
-            nodes += 1
-            if cfg.node_limit is not None and nodes >= cfg.node_limit:
-                raise _LimitHit
-            rows.append(cand)
-            nonzeros.append(tuple(compress(enumerate(cand), cand)))
-            result = place(s + 1)
-            if result is not None:
-                return result
-            rows.pop()
+    # one candidate generator per placed row and one for the next row (the
+    # one pushed for row k is never started)
+    stack = [candidates(0)]
+    nodes = 0
+    while len(nonzeros) < k:
+        vec = next(stack[-1], None)
+        if vec is None:
+            # the top row has no candidate left: take back the row before
+            stack.pop()
+            if not stack:
+                return EmbeddingResult(DonaldsonStatus.NOT_EMBEDDABLE, None,
+                                       nodes)
             nonzeros.pop()
-        return None
-
-    try:
-        found = place(0)
-    except _LimitHit:
-        return EmbeddingResult(DonaldsonStatus.INCONCLUSIVE, None, nodes)
-
-    if found is None:
-        return EmbeddingResult(DonaldsonStatus.NOT_EMBEDDABLE, None, nodes)
+            continue
+        nodes += 1
+        if cfg.node_limit is not None and nodes >= cfg.node_limit:
+            return EmbeddingResult(DonaldsonStatus.INCONCLUSIVE, None, nodes)
+        nonzeros.append(tuple(compress(enumerate(vec), vec)))
+        stack.append(candidates(len(nonzeros)))
 
     # undo the search reordering: row i of the witness is vertex i
-    witness = [None] * k
-    for s, v in enumerate(order):
-        witness[v] = found[s]
-    witness = tuple(witness)
+    witness = [[0] * k for _ in range(k)]
+    for v, nz in zip(order, nonzeros):
+        for c, e in nz:
+            witness[v][c] = e
+    witness = tuple(map(tuple, witness))
     if not verify_embedding(q, witness):
         raise AssertionError("search produced an invalid embedding")
     if isinstance(g_or_matrix, StarGraph):

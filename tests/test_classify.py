@@ -399,6 +399,22 @@ def test_analyze_normalizes_once(monkeypatch):
         assert calls["normalize"] - before == 1, p
 
 
+def test_analyze_classifies_twice(monkeypatch):
+    # once for the raw list (a link stops there) and once for the
+    # normalized one, whose kind the fiberedness verdict reads
+    calls = counting(monkeypatch, "classify_type",
+                     (pretzel.classify, pretzel.fibered, pretzel.plumbing))
+    rng = random.Random(1414)
+    raw = [random_knot_params(rng, max_strands=7, max_abs=6)
+           for _ in range(200)]
+    keys = list(knot_classes(6, 6))
+    assert len(keys) == 1111
+    for p in keys + raw:
+        before = calls["classify_type"]
+        analyze(p)
+        assert calls["classify_type"] - before == 2, p
+
+
 def test_class_record_classifies_once(monkeypatch):
     # the kind of the key is found once and read by fiberedness, the
     # obstructions and the exceptional test alike

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import itertools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -362,6 +365,88 @@ def test_node_limit_inconclusive():
     res = find_embedding(g, SearchConfig(node_limit=2))
     assert res.status is DonaldsonStatus.INCONCLUSIVE
     assert res.nodes == 2
+
+
+def fresh_blocks_by_brute_force(n, width):
+    """Every non-increasing sequence of positive integers with squares
+    summing to n and at most width entries, zero-padded to width, in
+    lexicographic order."""
+    values = range(math.isqrt(n), 0, -1)
+    return sorted(
+        seq + (0,) * (width - length)
+        for length in range(width + 1)
+        for seq in itertools.combinations_with_replacement(values, length)
+        if sum(a * a for a in seq) == n)
+
+
+def test_fresh_block_matches_brute_force():
+    cases = 0
+    for k in range(9):
+        for col in range(k + 1):
+            for n in range(40):
+                vec = [7] * col + [0] * (k - col)
+                got = [tuple(v) for v in
+                       pretzel.lattice._fill_fresh(vec, n, n, col)]
+                want = fresh_blocks_by_brute_force(n, k - col)
+                assert [v[col:] for v in got] == want, (k, col, n)
+                assert all(v[:col] == (7,) * col for v in got)
+                assert vec == [7] * col + [0] * (k - col)
+                cases += 1
+    assert cases == 1800
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_depth_does_not_grow_with_rank():
+    # one loop places the rows, so a rank-303 search needs no deep stack
+    g = negative_definite_graph((301, -301, 2))
+    assert g.rank == 303
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 150)
+    try:
+        res = find_embedding(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.status, res.nodes) == (DonaldsonStatus.EMBEDDABLE, 303)
+    assert verify_embedding(g, res.witness)
+
+
+def test_search_leaves_no_reference_cycles():
+    searches = [
+        (negative_definite_graph((1, 1, 1, 1, -3, -3, -3)), None,
+         DonaldsonStatus.EMBEDDABLE),
+        (negative_definite_graph((1, 1, -3)), None,
+         DonaldsonStatus.NOT_EMBEDDABLE),
+        (negative_definite_graph((1,) * 6 + (-3,) * 5), 2,
+         DonaldsonStatus.INCONCLUSIVE),
+    ]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for g, limit, status in searches:
+            res = find_embedding(g, SearchConfig(node_limit=limit))
+            assert res.status is status
+            assert gc.collect() == 0, status
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_malformed_matrix_rejected():
+    # a matrix that is not square and symmetric is refused before any work
+    for call in (lambda: find_embedding([[-2, 1], [0, -2]]),
+                 lambda: find_embedding([[-2, 1], [1]]),
+                 lambda: wu_class([[-3, 1], [0, -3]]),
+                 lambda: verify_embedding([[-1, 0], [1, -1]],
+                                          ((1, 0), (0, 1)))):
+        with pytest.raises(ValueError, match="square symmetric"):
+            call()
 
 
 def test_verify_embedding_trivials():

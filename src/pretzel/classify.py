@@ -272,12 +272,14 @@ def _class_facts(ms, kind, node_limit, cache):
 
 def _donaldson(g, node_limit, cache):
     """Embedding search on the negative definite graph g, memoized under
-    its center weight and sorted legs, which mutants and mirrors share."""
+    its center weight and sorted legs, which mutants and mirrors share.
+    Only decided results are stored: a search that stopped at a node limit
+    must run again for a caller with a higher limit or none."""
     key = (g.center_weight, tuple(sorted(g.legs)))
     if cache is not None and key in cache:
         return cache[key]
     res = find_embedding(g, SearchConfig(node_limit=node_limit))
-    if cache is not None:
+    if cache is not None and res.status is not DonaldsonStatus.INCONCLUSIVE:
         cache[key] = res
     return res
 

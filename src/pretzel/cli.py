@@ -13,12 +13,10 @@ link where a knot is required, a parameter too large to build
 its graph (|q| > sys.maxsize, or a negative definite graph of rank above
 MAX_GRAPH_RANK = 4000), unwritable output, bad or unreadable cache
 file, bad cache directory, enumeration bounds too small, node limit or
---jobs not a positive integer, embed --exhaustive above rank 12), 3 =
-search gave up at the node limit.
+--jobs not a positive integer), 3 = search gave up at the node limit.
 One node-limit rule: --node-limit (default PRETZELC_NODE_LIMIT, else no
 limit) caps the search the same way in analyze, embed and enumerate, at any
-rank.  embed --exhaustive refuses rank > 12 with or without a limit (exit
-2): the oracle lists every vector of a norm before it counts a node.
+rank.
 
 JSON schema of an analysis record (all keys always present):
   input str, params [int], kind str, fibered str, subcase str,
@@ -41,7 +39,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -53,14 +50,10 @@ from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, wu_vertices)
 from .plumbing import euler_number, negative_definite_graph, to_dot
 
-EXHAUSTIVE_RANK_LIMIT = 12
 # Graphs above this rank are refused before they are built.  Building and
 # printing one is O(rank); the search reads a dense rank x rank matrix,
 # 16 million entries at 4,000.
 MAX_GRAPH_RANK = 4000
-
-CSV_HEADER = ("class_key,kind,subcase,fibered,det,det_square,sigma,"
-              "donaldson,family,exceptional,status,nodes,ms")
 
 
 class _InputError(Exception):
@@ -197,18 +190,7 @@ def cmd_embed(args):
     params = _knot(args.params)
     g = negative_definite_graph(params)
     limit = _node_limit_from(args)
-    if args.exhaustive and g.rank > EXHAUSTIVE_RANK_LIMIT:
-        # the oracle lists every vector of a norm before it counts a node,
-        # so a node limit does not bound its work
-        raise _InputError("graph rank %d exceeds %d, the largest the "
-                          "exhaustive oracle takes"
-                          % (g.rank, EXHAUSTIVE_RANK_LIMIT))
-    if args.exhaustive:
-        # imported here so that other subcommands do not pay for importing it
-        from .oracle import exhaustive_embedding
-        res = exhaustive_embedding(g, limit)
-    else:
-        res = find_embedding(g, SearchConfig(node_limit=limit))
+    res = find_embedding(g, SearchConfig(node_limit=limit))
     if args.json:
         print(json.dumps({
             "status": res.status.value,
@@ -238,27 +220,28 @@ def cmd_graph(args):
 # ---------------------------------------------------------------------------
 # enumeration with report files and a result cache
 
+CSV_HEADER = ("class_key,kind,subcase,fibered,det,det_square,sigma,"
+              "donaldson,family,exceptional,status,nodes,ms")
+
+
+def _report_fields(rec):
+    """The report's columns of rec, in CSV_HEADER order, as JSON values."""
+    return (list(rec.class_key), rec.kind.value, rec.subcase.value,
+            rec.fiberable, rec.det, rec.det_square, rec.sigma,
+            rec.donaldson, rec.family, rec.exceptional, rec.status.value,
+            rec.nodes, 0)
+
+
 def _csv_row(rec) -> str:
-    key = " ".join(str(x) for x in rec.class_key)
-    return ",".join([
-        key, rec.kind.value, rec.subcase.value,
-        "true" if rec.fiberable else "false",
-        str(rec.det), "true" if rec.det_square else "false", str(rec.sigma),
-        rec.donaldson, rec.family,
-        "true" if rec.exceptional else "false",
-        rec.status.value, str(rec.nodes), "0",
-    ])
+    key, *cells = _report_fields(rec)
+    return ",".join([" ".join(map(str, key))] + [
+        "true" if v is True else "false" if v is False else str(v)
+        for v in cells])
 
 
 def _jsonl_row(rec) -> str:
-    return json.dumps({
-        "class_key": list(rec.class_key), "kind": rec.kind.value,
-        "subcase": rec.subcase.value, "fibered": rec.fiberable,
-        "det": rec.det, "det_square": rec.det_square, "sigma": rec.sigma,
-        "donaldson": rec.donaldson, "family": rec.family,
-        "exceptional": rec.exceptional, "status": rec.status.value,
-        "nodes": rec.nodes, "ms": 0,
-    }, sort_keys=True)
+    return json.dumps(dict(zip(CSV_HEADER.split(","), _report_fields(rec))),
+                      sort_keys=True)
 
 
 def _cache_path(directory):
@@ -313,16 +296,15 @@ def _load_cache(directory):
 
 
 def _save_cache(directory, cache):
-    """Write every decided entry, sorted, to a temporary file and rename it
-    over the cache file, so an interrupted save leaves the old file whole.
-    INCONCLUSIVE entries are left out: a later run with a higher node limit
-    must search again."""
+    """Write every entry, sorted, to a temporary file and rename it over
+    the cache file, so an interrupted save leaves the old file whole.  The
+    cache holds decided searches only (classify._donaldson stores no
+    INCONCLUSIVE), so a later run with a higher node limit searches
+    again."""
     path = _cache_path(directory)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         for key, res in sorted(cache.items()):
-            if res.status is DonaldsonStatus.INCONCLUSIVE:
-                continue
             fh.write(json.dumps({
                 "center": key[0], "legs": [list(leg) for leg in key[1]],
                 "status": res.status.value,
@@ -368,6 +350,9 @@ def cmd_enumerate(args):
 
     records = []
     if args.jobs > 1:
+        # imported here, the one place that uses it, so that no other
+        # command pays for importing it
+        import multiprocessing
         todo = [(ms, node_limit) for ms in classes]
         with multiprocessing.Pool(args.jobs, initializer=_init_worker,
                                   initargs=(cache,)) as pool:
@@ -431,8 +416,6 @@ def build_parser():
 
     e = _allow_leading_minus(sub.add_parser("embed", help="Donaldson embedding witness"))
     e.add_argument("params")
-    e.add_argument("--exhaustive", action="store_true",
-                   help="decide with the standalone exhaustive oracle")
     e.add_argument("--node-limit", default=None)
     e.add_argument("--json", action="store_true")
     e.set_defaults(func=cmd_embed)

@@ -107,7 +107,8 @@ pruning input (used columns, the support of each used column with its
 rows' suffix norms, the column groups keyed by those supports, gaps) is
 recomputed inside candidates() from these records and handed to the
 module-level generators _fill_used/_fill_fresh.
-Agreement with pretzel.oracle is tested on small and random graphs.
+Agreement with the exhaustive oracle of tests/embedding_oracle.py is tested
+on small and random graphs.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 import math
 
-from .lattice import DonaldsonStatus, EmbeddingResult
-from .plumbing import StarGraph, incidence_matrix
+from pretzel.lattice import DonaldsonStatus, EmbeddingResult
+from pretzel.plumbing import StarGraph, incidence_matrix
 
 
 def _shell(n, k):
@@ -15,17 +15,14 @@ def _shell(n, k):
             for v in _shell(n - a * a, k - 1)]
 
 
-def exhaustive_embedding(g_or_matrix, node_limit=None) -> EmbeddingResult:
+def exhaustive_embedding(g_or_matrix) -> EmbeddingResult:
     """Decide whether -M M^T = Q has an integer solution M.
 
     Rows are placed in incidence order, each drawn from a table of all
     vectors of Z^k of its norm and kept only if its inner products with the
     earlier rows match Q.  One symmetry argument only: a signed column
     permutation makes the first row of any embedding sorted and >= 0.
-    INCONCLUSIVE once node_limit rows have been placed.
     """
-    if node_limit is not None and node_limit <= 0:
-        raise ValueError("node_limit must be positive")
     q = incidence_matrix(g_or_matrix) \
         if isinstance(g_or_matrix, StarGraph) else g_or_matrix
     k = len(q)
@@ -36,7 +33,7 @@ def exhaustive_embedding(g_or_matrix, node_limit=None) -> EmbeddingResult:
              if list(v) == sorted(map(abs, v), reverse=True)]
     rows, nodes = [], 0
 
-    def place(s):  # True: embedded, False: exhausted, None: limit hit
+    def place(s):  # True: embedded, False: exhausted
         nonlocal nodes
         if s == k:
             return True
@@ -45,17 +42,13 @@ def exhaustive_embedding(g_or_matrix, node_limit=None) -> EmbeddingResult:
                    for t in range(s)):
                 continue
             nodes += 1
-            if node_limit is not None and nodes >= node_limit:
-                return None
             rows.append(v)
-            found = place(s + 1)
-            if found is not False:
-                return found
+            if place(s + 1):
+                return True
             rows.pop()
         return False
 
     found = place(0)
-    status = (DonaldsonStatus.INCONCLUSIVE if found is None else
-              DonaldsonStatus.EMBEDDABLE if found else
+    status = (DonaldsonStatus.EMBEDDABLE if found else
               DonaldsonStatus.NOT_EMBEDDABLE)
     return EmbeddingResult(status, tuple(rows) if found else None, nodes)

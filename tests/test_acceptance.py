@@ -15,17 +15,17 @@ import time
 import pytest
 
 from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig,
-                     SingularMod2Error, Status, Subcase, analyze, determinant,
-                     enumerate_classes, find_embedding, graph_signature,
-                     incidence_matrix, is_fibered, mirror,
-                     negative_definite_graph, signature, verify_embedding,
-                     wu_vertices)
+                     SingularMod2Error, Status, Subcase, analyze,
+                     bareiss_determinant, determinant, enumerate_classes,
+                     find_embedding, graph_signature, incidence_matrix,
+                     is_fibered, mirror, negative_definite_graph, signature,
+                     verify_embedding, wu_vertices)
 from pretzel.cli import CSV_HEADER, _csv_row
-from pretzel.oracle import exhaustive_embedding
 from pretzel.plumbing import StarGraph
 
 from conftest import random_knot_params
-from goeritz_oracle import goeritz_signature
+from embedding_oracle import exhaustive_embedding
+from goeritz_oracle import _goeritz_matrix, goeritz_signature
 from gram_oracle import dense_verify_embedding
 from test_lattice import (KNOWN_1075_ROWS, matches_up_to_canonical_symmetry,
                           rank5_corpus_graphs)
@@ -192,6 +192,15 @@ def test_8x7_report_bytes(big_enumeration):
     text = "\n".join([CSV_HEADER] + [_csv_row(r) for r in records]) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "0ddf92ddd9c3ca1044d4999f3fd284dbfb3a0d76a2fc28eab1c6e67ca5450bc4"
+
+
+def test_8x7_determinants_match_goeritz(big_enumeration):
+    # the Goeritz matrix of the standard diagram shares nothing with the
+    # plumbing graph that gives each record's det
+    records, _, _ = big_enumeration
+    assert len(records) == 15414
+    assert [r.class_key for r in records if abs(bareiss_determinant(
+        _goeritz_matrix(r.class_key))) != r.det] == []
 
 
 def independent_wu_set(g):

@@ -160,8 +160,19 @@ def test_no_unused_imports():
     # __init__.py imports only to re-export, so it is exempt
     src = pathlib.Path(pretzel.__file__).parent
     modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
-    assert len(modules) >= 7
+    assert len(modules) >= 6
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def test_package_imports_every_module_but_cli():
+    # the package holds the library and its command line; a module that
+    # __init__ does not import is neither (test oracles live in tests/)
+    src = pathlib.Path(pretzel.__file__).parent
+    init = ast.parse((src / "__init__.py").read_text())
+    imported = {n.module for n in init.body
+                if isinstance(n, ast.ImportFrom) and n.level == 1}
+    modules = {p.stem for p in src.glob("*.py")} - {"__init__", "cli"}
+    assert modules == imported
 
 
 def private_definitions(tree):

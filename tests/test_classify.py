@@ -210,6 +210,18 @@ def test_analyze_inconclusive_with_node_limit():
     assert v.status is Status.INCONCLUSIVE
 
 
+def test_shared_cache_keeps_no_inconclusive():
+    # a search cut at a node limit decides nothing, so a later call that
+    # shares the cache and sets no limit must search again
+    key, cache = (1, 1, 1, 1, -3, -3, -3), {}
+    assert class_record(key, node_limit=2, cache=cache).status is \
+        Status.INCONCLUSIVE
+    assert cache == {}
+    assert class_record(key, cache=cache).status is Status.RIBBON_KNOWN
+    assert [r.status for r in cache.values()] == \
+        [DonaldsonStatus.EMBEDDABLE]
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_analyze_status_mirror_invariant(seed):

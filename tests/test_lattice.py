@@ -15,10 +15,10 @@ from pretzel import (DonaldsonStatus, SearchConfig, SingularMod2Error,
                      incidence_matrix, mirror, negative_definite_graph,
                      project_embedding, signature, verify_embedding,
                      wu_class, wu_vertices)
-from pretzel.oracle import exhaustive_embedding
 from pretzel.plumbing import StarGraph
 
 from conftest import CORPUS, random_knot_params
+from embedding_oracle import exhaustive_embedding
 from goeritz_oracle import goeritz_signature
 from gram_oracle import dense_verify_embedding, quadratic_form
 
@@ -500,13 +500,18 @@ def rank5_corpus_graphs():
 def test_exhaustive_matches_default_on_small_corpus():
     graphs = rank5_corpus_graphs()
     assert len(graphs) >= 6
+    statuses = {}
     for p, g in graphs:
         a = find_embedding(g)
         b = exhaustive_embedding(g)
-        assert bool(a) == bool(b), p
+        assert a.status is b.status, p
         if a.witness:
             assert verify_embedding(g, a.witness)
             assert verify_embedding(g, b.witness)
+        statuses[p] = a.status
+    # both answers occur: P(1,1,3,-4) embeds, P(1,1,-3) does not
+    assert statuses[(1, 1, 3, -4)] is DonaldsonStatus.EMBEDDABLE
+    assert statuses[(1, 1, -3)] is DonaldsonStatus.NOT_EMBEDDABLE
 
 
 def test_wu_pruning_consistency_where_sigma_zero():

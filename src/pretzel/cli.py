@@ -11,8 +11,9 @@ Exit codes: 0 = verdict produced, 2 = input error (malformed, zero
 parameter, a parameter string that expands to more than 4,000 parameters,
 link where a knot is required, a parameter too large to build
 its graph (|q| > sys.maxsize, or a negative definite graph of rank above
-MAX_GRAPH_RANK = 4000), unwritable output, bad or unreadable cache
-file, bad cache directory, enumeration bounds too small, node limit or
+plumbing.MAX_GRAPH_RANK = 4000, refused while the graph is built, before
+the leg past the bound is allocated), unwritable output, bad or unreadable
+cache file, bad cache directory, enumeration bounds too small, node limit or
 --jobs not a positive integer), 3 = search gave up at the node limit.
 One node-limit rule: --node-limit (default PRETZELC_NODE_LIMIT, else no
 limit) caps the search the same way in analyze, embed and enumerate, at any
@@ -37,23 +38,18 @@ regardless of --jobs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
 import sys
 import time
+from collections import ChainMap
 
-from .core import classify_type, nonunitary, normalize, parse_params
+from .core import classify_type, parse_params
 from .classify import Status, analyze, class_record, knot_classes
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, wu_vertices)
-from .plumbing import euler_number, negative_definite_graph, to_dot
-
-# Graphs above this rank are refused before they are built.  Building and
-# printing one is O(rank); the search reads a dense rank x rank matrix,
-# 16 million entries at 4,000.
-MAX_GRAPH_RANK = 4000
+from .plumbing import negative_definite_graph, to_dot
 
 
 class _InputError(Exception):
@@ -78,22 +74,12 @@ def _node_limit_from(args):
     return limit
 
 
-def _reduced_rank(params):
-    """The rank of the knot's negative definite graph, from the parameters
-    alone: after normalizing and mirroring to e(Y) < 0, the centre plus one
-    vertex per non-unitary weight w, or w - 1 for a chain when w >= 2."""
-    p = normalize(params)
-    flip = -1 if euler_number(p) > 0 else 1
-    return 1 + sum(flip * w - 1 if flip * w >= 2 else 1
-                   for w in nonunitary(p))
-
-
 def _knot(text):
-    """The parameters of text; an input error when text is not a knot
-    whose negative definite graph can be built.  A parameter q becomes
-    a leg of up to |q| - 1 vertices (q or -q, by the mirror), and no tuple
-    is longer than sys.maxsize.  The rank is checked against
-    MAX_GRAPH_RANK before any graph is built."""
+    """(the parameters of text, their negative definite graph); an input
+    error when text is not a knot whose graph can be built.  A parameter
+    q becomes a leg of up to |q| - 1 vertices (q or -q, by the mirror), and
+    no tuple is longer than sys.maxsize.  negative_definite_graph refuses
+    a rank above MAX_GRAPH_RANK before it builds the leg past it."""
     try:
         params = parse_params(text)
         if not classify_type(params).is_knot():
@@ -103,14 +89,9 @@ def _knot(text):
             raise ValueError("parameter %d is too large: |q| above "
                              "sys.maxsize gives no plumbing graph"
                              % too_big[0])
-        rank = _reduced_rank(params)
-        if rank > MAX_GRAPH_RANK:
-            raise ValueError("graph rank %d exceeds %d, the largest "
-                             "negative definite graph pretzelc builds"
-                             % (rank, MAX_GRAPH_RANK))
+        return params, negative_definite_graph(params)
     except ValueError as exc:
         raise _InputError(exc)
-    return params
 
 
 def record_to_json(verdict, ms_elapsed) -> dict:
@@ -160,7 +141,7 @@ def _family_text(fam):
 
 
 def cmd_analyze(args):
-    params = _knot(args.params)
+    params, _ = _knot(args.params)
     start = time.monotonic()
     verdict = analyze(params, node_limit=_node_limit_from(args))
     ms = int((time.monotonic() - start) * 1000)
@@ -187,8 +168,7 @@ def cmd_analyze(args):
 
 
 def cmd_embed(args):
-    params = _knot(args.params)
-    g = negative_definite_graph(params)
+    _, g = _knot(args.params)
     limit = _node_limit_from(args)
     res = find_embedding(g, SearchConfig(node_limit=limit))
     if args.json:
@@ -211,8 +191,7 @@ def cmd_embed(args):
 
 
 def cmd_graph(args):
-    params = _knot(args.params)
-    g = negative_definite_graph(params)
+    _, g = _knot(args.params)
     print(to_dot(g, wu_vertices(g)))
     return 0
 
@@ -320,15 +299,19 @@ _WORKER_CACHE: dict | None = None
 
 def _init_worker(cache):
     global _WORKER_CACHE
-    _WORKER_CACHE = dict(cache)
+    _WORKER_CACHE = cache
 
 
 def _worker(task):
+    """A class's record and the cache entries its search added.  The
+    entries go to a fresh dict in front of the loaded cache; no two
+    classes of one enumeration share a graph, so no later class of this
+    worker would have read them."""
     ms, node_limit = task
-    before = len(_WORKER_CACHE)
-    rec = class_record(ms, node_limit=node_limit, cache=_WORKER_CACHE)
-    # dicts keep insertion order, so the entries this class added come last
-    return rec, dict(itertools.islice(_WORKER_CACHE.items(), before, None))
+    new = {}
+    rec = class_record(ms, node_limit=node_limit,
+                       cache=ChainMap(new, _WORKER_CACHE))
+    return rec, new
 
 
 def cmd_enumerate(args):

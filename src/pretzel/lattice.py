@@ -118,8 +118,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, compress
 
-from .plumbing import (StarGraph, _eliminate_leaves, bareiss_determinant,
-                       incidence_matrix, negative_definite_graph)
+from .plumbing import (StarGraph, _eliminate_leaves, _leg_ranges,
+                       bareiss_determinant, incidence_matrix,
+                       negative_definite_graph)
 
 
 class SingularMod2Error(ArithmeticError):
@@ -170,10 +171,9 @@ def wu_vertices(g_or_matrix) -> tuple[int, ...]:
     if not isinstance(g_or_matrix, StarGraph):
         w = wu_class(g_or_matrix)
         return tuple(i for i, b in enumerate(w) if b)
-    w0, legs = _wu_walk(g_or_matrix)
-    w, start = w0, 1       # bit v of w is the Wu bit of vertex v
-    for leg, t in zip(g_or_matrix.legs, legs):
-        w, start = w | t[3] << start, start + len(leg)
+    w, legs = _wu_walk(g_or_matrix)   # bit v of w is the Wu bit of vertex v
+    for vs, t in zip(_leg_ranges(g_or_matrix), legs):
+        w |= t[3] << vs.start
     return tuple(v for v in range(g_or_matrix.rank) if w >> v & 1)
 
 
@@ -372,11 +372,8 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
 
     # the search order (module docstring)
     if isinstance(g_or_matrix, StarGraph):
-        legs, start = [], 1
-        for leg in g_or_matrix.legs:
-            legs.append(range(start, start + len(leg)))
-            start += len(leg)
-        rest = [0, *chain.from_iterable(sorted(legs, key=len, reverse=True))]
+        legs = sorted(_leg_ranges(g_or_matrix), key=len, reverse=True)
+        rest = [0, *chain.from_iterable(legs)]
     else:
         rest = range(k)
     order = [*wu, *(v for v in rest if v not in wu)]

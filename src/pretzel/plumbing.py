@@ -45,6 +45,13 @@ pass over the reduced graph checks that it is negative definite
 bareiss_determinant, is_negative_definite) stay for matrix inputs and as
 test oracles for this pass.
 
+The construction is the one place that knows the graph's shape: the
+reduction rule, the mirror decision and the rank bound MAX_GRAPH_RANK,
+checked as the legs are built so that a leg past the bound is never
+allocated.  _leg_ranges numbers the vertices (centre 0, then each leg from
+the centre out) for the incidence matrix, the DOT text, and lattice's Wu
+set and search order.
+
 All arithmetic is exact (big integers and fractions); nothing here touches
 floating point.
 """
@@ -56,6 +63,11 @@ from fractions import Fraction
 
 from .core import NotAKnotError, as_params, classify_type, nonunitary, \
     unitary_count_and_sign
+
+# Graphs above this rank are refused while they are built.  Building and
+# printing one is O(rank); the search reads a dense rank x rank matrix,
+# 16 million entries at 4,000.
+MAX_GRAPH_RANK = 4000
 
 
 class PlumbingError(RuntimeError):
@@ -120,7 +132,8 @@ def euler_number(params) -> Fraction:
 
 def negative_definite_graph(params) -> StarGraph:
     """The canonical negative definite plumbing graph of the knot (mirroring
-    first when e(Y) > 0).  The result is verified negative definite."""
+    first when e(Y) > 0).  The result is verified negative definite.
+    Raises ValueError when its rank exceeds MAX_GRAPH_RANK."""
     return _graph_and_determinant(_require_knot(params))[0]
 
 
@@ -128,19 +141,23 @@ def _graph_and_determinant(p) -> tuple[StarGraph, int]:
     """(negative_definite_graph, determinant) of an already validated list
     p with no opposite-sign unitary pair: one leaf pass over the star graph
     for |det| and the sign of e(Y) = -det/P, one over the result for the
-    guard."""
+    guard.  A leg past MAX_GRAPH_RANK is never allocated."""
     star = _star(p)
     det, prod, _ = _eliminate_leaves(star)
     flip = -1 if det * prod < 0 else 1   # e(Y) > 0: mirror
-    center = flip * star.center_weight
-    legs = []
+    center, legs, rank = flip * star.center_weight, [], 1
     for (w,) in star.legs:
-        w *= flip
+        w, n = flip * w, 1
         if w >= 2:
-            legs.append((-2,) * (w - 1))
-            center -= 1
-        else:
-            legs.append((w,))
+            w, n, center = -2, w - 1, center - 1
+        rank += n
+        # past the bound only the rank is counted, no leg is built
+        if rank <= MAX_GRAPH_RANK:
+            legs.append((w,) * n)
+    if rank > MAX_GRAPH_RANK:
+        raise ValueError("graph rank %d exceeds %d, the largest negative "
+                         "definite graph this package builds"
+                         % (rank, MAX_GRAPH_RANK))
     g = StarGraph(center, tuple(legs), flip < 0)
     return _require_negative_definite(g), abs(det)
 
@@ -189,15 +206,21 @@ def incidence_matrix(g: StarGraph) -> list[list[int]]:
     k = g.rank
     m = [[0] * k for _ in range(k)]
     m[0][0] = g.center_weight
-    idx = 1
-    for leg in g.legs:
-        prev = 0
-        for w in leg:
-            m[idx][idx] = w
-            m[idx][prev] = m[prev][idx] = 1
-            prev = idx
-            idx += 1
+    for leg, vs in zip(g.legs, _leg_ranges(g)):
+        for prev, v, w in zip((0, *vs), vs, leg):
+            m[v][v] = w
+            m[v][prev] = m[prev][v] = 1
     return m
+
+
+def _leg_ranges(g: StarGraph) -> list[range]:
+    """The vertices of each leg in incidence-matrix order, from the centre
+    out; the centre is vertex 0 and each leg follows the one before."""
+    ranges, start = [], 1
+    for leg in g.legs:
+        ranges.append(range(start, start + len(leg)))
+        start += len(leg)
+    return ranges
 
 
 def bareiss_determinant(matrix) -> int:
@@ -260,8 +283,12 @@ def to_dot(g: StarGraph, wu_vertices=()) -> str:
     """DOT rendering of a star graph.  The center is marked and the Wu-set
     vertices carry a highlight attribute."""
     wu = set(wu_vertices)
+    vertices, edges = [(0, g.center_weight)], []
+    for leg, vs in zip(g.legs, _leg_ranges(g)):
+        vertices.extend(zip(vs, leg))
+        edges.extend(zip((0, *vs), vs))
     lines = ["graph pretzel {"]
-    for i, w in enumerate(_weights(g)):
+    for i, w in vertices:
         attrs = ['label="%d"' % w]
         if i == 0:
             attrs.append("shape=doublecircle")
@@ -272,19 +299,6 @@ def to_dot(g: StarGraph, wu_vertices=()) -> str:
             attrs.append('fillcolor="lightpink"')
             attrs.append('wu="true"')
         lines.append("  v%d [%s];" % (i, ", ".join(attrs)))
-    idx = 1
-    for leg in g.legs:
-        prev = 0
-        for _ in leg:
-            lines.append("  v%d -- v%d;" % (prev, idx))
-            prev = idx
-            idx += 1
+    lines.extend("  v%d -- v%d;" % edge for edge in edges)
     lines.append("}")
     return "\n".join(lines)
-
-
-def _weights(g: StarGraph):
-    out = [g.center_weight]
-    for leg in g.legs:
-        out.extend(leg)
-    return out

@@ -1,16 +1,16 @@
 import json
 import os
-import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from pretzel.cli import (CSV_HEADER, MAX_GRAPH_RANK, _reduced_rank, main,
-                        record_to_json)
+from pretzel.cli import CSV_HEADER, main, record_to_json
+from pretzel.plumbing import MAX_GRAPH_RANK
 from pretzel import (analyze, incidence_matrix, negative_definite_graph,
-                     normalize, wu_vertices)
+                     wu_vertices)
 
 from conftest import random_knot_params
 
@@ -206,14 +206,16 @@ def test_parameter_too_large_for_its_graph_exit_2(command, params, capsys):
 @pytest.mark.parametrize("params", ["9223372036854775807,3,5",
                                     "-9223372036854775807,-3,-5",
                                     "10000000000,3,5"])
-def test_graph_rank_too_large_exit_2(command, params, capsys, monkeypatch):
-    # the rank comes from the parameters; no graph is built for the refusal
-    def refuse(*args, **kwargs):
-        raise AssertionError("a graph was built")
-    for name in ("analyze", "negative_definite_graph"):
-        monkeypatch.setattr("pretzel.cli." + name, refuse)
-    monkeypatch.setattr("pretzel.plumbing._graph_and_determinant", refuse)
-    assert main([command, params]) == 2
+def test_graph_rank_too_large_exit_2(command, params, capsys):
+    # the graph's construction refuses the leg past the bound before it
+    # allocates it, so the refusal costs next to no memory
+    tracemalloc.start()
+    try:
+        assert main([command, params]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: graph rank ")
@@ -231,15 +233,6 @@ def test_huge_repeat_count_exit_2(params, capsys):
     assert out == ""
     assert err == "error: parameter string expands to more than 4000 " \
         "parameters\n"
-
-
-def test_reduced_rank_matches_the_graph():
-    rng = random.Random(909)
-    for _ in range(500):
-        p = random_knot_params(rng, max_strands=8, max_abs=9)
-        assert _reduced_rank(p) == negative_definite_graph(normalize(p)).rank
-    # a huge weight that stays a single vertex after the mirror is fine
-    assert _reduced_rank((9223372036854775807, -3, -5)) == 8
 
 
 def test_embed_link_rejected(capsys):
@@ -391,15 +384,19 @@ def test_enumerate_cache_rerun_identical(tmp_path):
 
 
 def test_enumerate_cache_same_for_any_jobs(tmp_path):
-    caches = []
+    # a cold run, then a warm one on the cache it wrote, for each --jobs
+    outputs = []
     for jobs in ("1", "2"):
         cache = tmp_path / ("cache" + jobs)
-        r = run_cli("enumerate", "--max-strands", "5", "--max-param", "4",
-                    "--jobs", jobs, "--cache", str(cache),
-                    "--out", str(tmp_path / ("r%s.csv" % jobs)))
-        assert r.returncode == 0
-        caches.append((cache / "donaldson-cache.jsonl").read_bytes())
-    assert caches[0] and caches[0] == caches[1]
+        for run in ("cold", "warm"):
+            out = tmp_path / ("r%s-%s.csv" % (jobs, run))
+            r = run_cli("enumerate", "--max-strands", "5", "--max-param",
+                        "4", "--jobs", jobs, "--cache", str(cache),
+                        "--out", str(out))
+            assert r.returncode == 0
+            outputs.append((out.read_bytes(),
+                            (cache / "donaldson-cache.jsonl").read_bytes()))
+    assert all(outputs[0]) and outputs == [outputs[0]] * 4
 
 
 def test_enumerate_truncated_cache_exit_2(tmp_path):

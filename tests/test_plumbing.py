@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pretzel import (NotAKnotError, PlumbingError, bareiss_determinant,
-                     determinant, euler_number, incidence_matrix,
-                     is_negative_definite, mirror, negative_definite_graph,
-                     normalize, star_graph, to_dot)
+from pretzel import (NotAKnotError, PlumbingError, analyze,
+                     bareiss_determinant, determinant, euler_number,
+                     incidence_matrix, is_negative_definite, mirror,
+                     negative_definite_graph, normalize, star_graph, to_dot)
 from pretzel import plumbing
-from pretzel.plumbing import (StarGraph, _eliminate_leaves,
+from pretzel.plumbing import (MAX_GRAPH_RANK, StarGraph, _eliminate_leaves,
                               _graph_and_determinant,
                               _require_negative_definite)
 
@@ -254,3 +254,20 @@ def test_dot_export():
     assert 'label="-4"' in dot and "doublecircle" in dot
     assert dot.count('wu="true"') == 1
     assert dot.count(" -- ") == 3
+
+
+@pytest.mark.parametrize("params", [(2**61 + 1, 3, 5), (3, 3, 3997)])
+@pytest.mark.parametrize("build", [negative_definite_graph, analyze])
+def test_rank_bound_refuses_in_the_library(build, params):
+    # a leg q >= 2 is a chain of q - 1 vertices: 2**61 of them, or rank
+    # 4,001 for P(3, 3, 3997); the bound is checked before the chain is
+    # allocated
+    with pytest.raises(ValueError, match="exceeds 4000"):
+        build(params)
+
+
+def test_rank_bound_takes_what_fits():
+    # rank 4,000 exactly, and a huge weight that stays one vertex after
+    # the mirror to e(Y) < 0
+    assert negative_definite_graph((3, 3, 3996)).rank == MAX_GRAPH_RANK
+    assert negative_definite_graph((2**63 - 1, -3, -5)).rank == 8

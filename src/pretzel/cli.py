@@ -74,12 +74,11 @@ def _node_limit_from(args):
     return limit
 
 
-def _knot(text):
-    """(the parameters of text, their negative definite graph); an input
-    error when text is not a knot whose graph can be built.  A parameter
-    q becomes a leg of up to |q| - 1 vertices (q or -q, by the mirror), and
-    no tuple is longer than sys.maxsize.  negative_definite_graph refuses
-    a rank above MAX_GRAPH_RANK before it builds the leg past it."""
+def _params(text):
+    """The parameters of text; an input error when text is not a knot whose
+    graph can be built.  A parameter q becomes a leg of up to |q| - 1
+    vertices (q or -q, by the mirror), and no tuple is longer than
+    sys.maxsize."""
     try:
         params = parse_params(text)
         if not classify_type(params).is_knot():
@@ -89,6 +88,17 @@ def _knot(text):
             raise ValueError("parameter %d is too large: |q| above "
                              "sys.maxsize gives no plumbing graph"
                              % too_big[0])
+        return params
+    except ValueError as exc:
+        raise _InputError(exc)
+
+
+def _knot(text):
+    """(the parameters of text, their negative definite graph), each bad
+    input an input error.  negative_definite_graph refuses a rank above
+    MAX_GRAPH_RANK before it builds the leg past it."""
+    params = _params(text)
+    try:
         return params, negative_definite_graph(params)
     except ValueError as exc:
         raise _InputError(exc)
@@ -141,9 +151,13 @@ def _family_text(fam):
 
 
 def cmd_analyze(args):
-    params, _ = _knot(args.params)
+    params = _params(args.params)
+    limit = _node_limit_from(args)
     start = time.monotonic()
-    verdict = analyze(params, node_limit=_node_limit_from(args))
+    try:
+        verdict = analyze(params, node_limit=limit)
+    except ValueError as exc:   # the graph's rank bound, checked as it builds
+        raise _InputError(exc)
     ms = int((time.monotonic() - start) * 1000)
     if args.json:
         print(json.dumps(record_to_json(verdict, ms), sort_keys=True))

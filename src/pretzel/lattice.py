@@ -47,10 +47,13 @@ permutations) is broken in two layers:
 Candidates for a row of norm n are enumerated in lexicographic order over
 the used columns (values ascending).  Rows are sparse (a row of norm n has
 at most n nonzeros), so the enumeration walks the zeros of a candidate
-forward in a loop and opens a recursion frame only at a nonzero entry: at
-each column it branches on the negative values, steps on with 0, and
-branches on the positive values on the way back, which is ascending order
-at every column.  A candidate is yielded only where the walk reaches the
+forward in a loop and opens a recursion frame only at a nonzero entry.
+The walk first finds how far zeros can go: to the first column where a 0
+fails a test (below, or the column-group order), else to the fresh
+columns.  Then the negative values run at each column of that range on the
+way out, the fresh block follows if the walk reached it, and the positive
+values run on the way back, which is ascending order at every column.  A
+candidate is yielded only where the walk reaches the
 fresh columns with every gap_t = need_t - (partial pairing so far) at 0
 and the fresh block takes exactly the norm left.  The fresh block is built
 by value: its largest entry a ascending, the number of copies of a
@@ -67,10 +70,21 @@ order.  It is evaluated for the rows with a nonzero in the column being
 filled, for every value there (0 included; a failure at 0 ends the zero
 walk).  A row with entry 0 at c keeps its gap; its test waits for its next
 nonzero column or the gap test at the fresh block, which costs less than
-testing it at every column.  The positive answers are checked entrywise
-(verify_embedding sums -M M^T over each column's nonzeros), and |det Q| is
-asserted to be a square, taken from the leaf-to-centre pass for star
-graphs.
+testing it at every column.  A value a that fails the test for row t
+(entry e at c, S = S_t(c+1), g = gap_t, R the norm left before c) shows
+where the values that pass it lie: (g - a e)^2 <= (R - a^2) S reads
+A a^2 - 2 B a + g^2 - R S <= 0 with A = e^2 + S and B = e g, an interval
+around B / A whose discriminant is D = S (R A - g^2) (over 4).  With
+D < 0, or a above B / A, no larger value passes and the values at c stop;
+below it the next value tried is max(a + 1, (B - isqrt D) // A), which is
+at most the interval's least integer.  Every value tried is still tested,
+so a loose bound costs time, never a candidate.  The interval is solved
+only while a value is left after a, so the rows of norm 2 and 3, which try
+one value of each sign at a column, pay nothing for it.  A value that takes the whole
+norm left goes on only when every gap is 0, since the rest of the row is
+then zeros.  The positive answers are checked entrywise (verify_embedding
+sums -M M^T over each column's nonzeros), and |det Q| is asserted to be a
+square, taken from the leaf-to-centre pass for star graphs.
 
 When sigma = 0 and no two Wu vertices are adjacent, an extra Wu prune
 applies.  The embedded Wu class is characteristic in the diagonal lattice
@@ -99,14 +113,19 @@ Invariant: one loop places the rows, on a stack holding one candidate
 generator per placed row and one for the next row.  Taking a candidate
 from the top generator places a row; an exhausted generator is popped
 together with the row placed before it; an empty stack is the exhaustion
-certificate, and the node limit returns INCONCLUSIVE on the spot.  The one
-record kept per placed row is its nonzero entries as (column, entry), read
-off the live candidate vector before its generator resumes; the witness
-rows are written out from them once the search has succeeded.  Every
-pruning input (used columns, the support of each used column with its
-rows' suffix norms, the column groups keyed by those supports, gaps) is
-recomputed inside candidates() from these records and handed to the
-module-level generators _fill_used/_fill_fresh.
+certificate, and the node limit returns INCONCLUSIVE on the spot.  Each
+placed row keeps its nonzero entries as (column, entry), read off the live
+candidate vector before its generator resumes; the witness rows are
+written out from them once the search has succeeded.  The pruning state
+follows the stack.  Placing a row appends (row, entry, the row's squared
+norm past the column) to the support of each of its columns, opening its
+fresh columns, and extends each column's group key to (key, row, entry);
+taking it back pops those entries in reverse order and drops the columns
+it opened.  Rows are taken back in stack order, so a generator resumes on
+the state it started from.  A row's generator reads the used columns off
+the support, and computes its gaps and, in one pass over the keys, the
+previous column of each column's group; the module-level generators
+_fill_used/_fill_fresh run on that state.
 Agreement with the exhaustive oracle of tests/embedding_oracle.py is tested
 on small and random graphs.
 """
@@ -293,38 +312,38 @@ def _fill_fresh(vec, remaining, cap, col):
 
 def _fill_used(vec, gap, support, prev_in_group, start, remaining):
     """Candidates from used column start on, in ascending order.  The zero
-    walk from start: zeros move no gap.  The steps run the negatives on the
-    way out, the fresh block (None) if the walk reaches it, the positives on
-    the way back."""
+    walk from start (zeros move no gap) finds the column it stops at, if
+    any; the values run over the columns up to it: the negatives on the way
+    out, the fresh block if the walk reaches it, the positives on the way
+    back."""
     u = len(support)
     top = math.isqrt(remaining)
-    out, back = [], []
-    for c in range(start, u):
-        hi = top
-        p = prev_in_group[c]
-        if p >= 0 and vec[p] < hi:
-            hi = vec[p]
-        out.append((c, -top, hi if hi < 0 else -1))
-        back.append((c, 1, hi))
-        if hi < 0:
+    end = start
+    while end < u:
+        p = prev_in_group[end]
+        if p >= 0 and vec[p] < 0:
             break
-        for t, _, sfx in support[c]:
+        for t, _, sfx in support[end]:
             if gap[t] * gap[t] > remaining * sfx:
                 break
         else:
+            end += 1
             continue
         break
-    else:
-        out.append(None)
-    back.reverse()
-    for step in out + back:
-        if step is None:
-            if not any(gap):
+    cols = range(start, end + 1 if end < u else u)
+    lo, cap = -top, -1   # the negative values on the way out
+    for c in chain(cols, (u,), reversed(cols)):
+        if c == u:   # the turn: the fresh block, then the positive values
+            if end == u and not any(gap):
                 yield from _fill_fresh(vec, remaining, remaining, u)
+            lo, cap = 1, top
             continue
-        c, lo, hi = step
+        a, hi = lo, cap
+        p = prev_in_group[c]
+        if p >= 0 and vec[p] < hi:
+            hi = vec[p]
         col = support[c]
-        for a in range(lo, hi + 1):
+        while a <= hi:
             rem = remaining - a * a
             for t, e, sfx in col:
                 g = gap[t] - a * e
@@ -334,11 +353,25 @@ def _fill_used(vec, gap, support, prev_in_group, start, remaining):
                 vec[c] = a
                 for t, e, _ in col:
                     gap[t] -= a * e
-                yield from _fill_used(vec, gap, support, prev_in_group,
-                                      c + 1, rem)
+                if rem or not any(gap):
+                    yield from _fill_used(vec, gap, support, prev_in_group,
+                                          c + 1, rem)
                 for t, e, _ in col:
                     gap[t] += a * e
                 vec[c] = 0
+                a += 1
+                continue
+            if a == hi:
+                break
+            # row t rules a out: stop above its interval of values, else
+            # jump to no further than the interval's least integer (module
+            # docstring, with aa = A and b = B)
+            g = gap[t]
+            aa, b = e * e + sfx, e * g
+            disc = sfx * (remaining * aa - g * g)
+            if disc < 0 or a * aa > b:
+                break
+            a = max(a + 1, (b - math.isqrt(disc)) // aa)
 
 
 def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> EmbeddingResult:
@@ -379,12 +412,20 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     order = [*wu, *(v for v in rest if v not in wu)]
     # the one record kept per placed row: its nonzeros as (column, entry)
     nonzeros: list[tuple[tuple[int, int], ...]] = []
+    # The pruning state of the placed rows, kept with undo (module
+    # docstring): support[c] holds the nonzero entries of used column c as
+    # (row, entry, the row's squared norm past c), and key[c] the column's
+    # entries as nested (key, row, entry) triples.
+    support: list[list[tuple[int, int, int]]] = []
+    key: list[tuple] = []
+    # one int object per column, shared by every row's prev_in_group
+    columns = list(range(k))
 
     def candidates(s):
         """The candidates for row s, each yielded as the live vector."""
         n = norms[order[s]]
         # the used columns are a prefix, each nonzero (fresh-block rule)
-        u = max((nz[-1][0] + 1 for nz in nonzeros), default=0)
+        u = len(support)
         if s < len(wu):
             # independent Wu rows are disjoint blocks of ones
             yield [0] * u + [1] * n + [0] * (k - u - n)
@@ -392,24 +433,14 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         qv = q[order[s]]
         # need - partial pairing with each placed row, before column 0
         gap = [-qv[order[t]] for t in range(s)]
-        # For the cut gap^2 <= remaining * suffix norm (module docstring):
-        # support[c] holds the nonzero entries of used column c as (row,
-        # entry, the row's squared norm past c).
-        support = [[] for _ in range(u)]
-        for t, nz in enumerate(nonzeros):
-            tail = norms[order[t]]
-            for c, e in nz:
-                tail -= e * e
-                support[c].append((t, e, tail))
         # Columns with the same entries in every placed row are
         # interchangeable; a candidate's entries must be non-increasing
         # along each such group.
         last_seen: dict = {}
         prev_in_group = []
-        for c, col in enumerate(support):
-            key = tuple((t, e) for t, e, _ in col)
-            prev_in_group.append(last_seen.get(key, -1))
-            last_seen[key] = c
+        for c, kc in zip(columns, key):
+            prev_in_group.append(last_seen.get(kc, -1))
+            last_seen[kc] = c
         yield from _fill_used([0] * k, gap, support, prev_in_group, 0, n)
 
     # one candidate generator per placed row and one for the next row (the
@@ -424,13 +455,27 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             if not stack:
                 return EmbeddingResult(DonaldsonStatus.NOT_EMBEDDABLE, None,
                                        nodes)
-            nonzeros.pop()
+            for c, _ in reversed(nonzeros.pop()):
+                support[c].pop()
+                key[c] = key[c][0]
+                if not support[c]:   # a fresh column of that row
+                    support.pop()
+                    key.pop()
             continue
         nodes += 1
         if cfg.node_limit is not None and nodes >= cfg.node_limit:
             return EmbeddingResult(DonaldsonStatus.INCONCLUSIVE, None, nodes)
+        t = len(nonzeros)
         nonzeros.append(tuple(compress(enumerate(vec), vec)))
-        stack.append(candidates(len(nonzeros)))
+        tail = norms[order[t]]
+        for c, e in nonzeros[t]:
+            if c == len(support):
+                support.append([])
+                key.append(())
+            tail -= e * e
+            support[c].append((t, e, tail))
+            key[c] = (key[c], t, e)
+        stack.append(candidates(t + 1))
 
     # undo the search reordering: row i of the witness is vertex i
     witness = [[0] * k for _ in range(k)]

@@ -7,12 +7,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import hashlib
+import math
 import random
 import subprocess
 import sys
 import time
 
 import pytest
+
+import pretzel.lattice
 
 from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig,
                      SingularMod2Error, Status, Subcase, analyze,
@@ -27,8 +30,9 @@ from conftest import random_knot_params
 from embedding_oracle import exhaustive_embedding
 from goeritz_oracle import _goeritz_matrix, goeritz_signature
 from gram_oracle import dense_verify_embedding
-from test_lattice import (KNOWN_1075_ROWS, matches_up_to_canonical_symmetry,
-                          rank5_corpus_graphs)
+from test_lattice import (KNOWN_1075_ROWS, fresh_blocks_by_brute_force,
+                          matches_up_to_canonical_symmetry,
+                          random_gram_matrix, rank5_corpus_graphs)
 
 
 def _ok(n, msg):
@@ -182,6 +186,102 @@ def test_search_work_on_8x7_certificates(big_enumeration):
     assert len(witnesses) == 346
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
         "cf0c642bffc4ffef08d2f426527fba4ea5bdbbd7d8e66b00e351bee96b2cbf38"
+
+
+def record_enumerations(monkeypatch):
+    """Patch the search to record every candidate enumeration of a row
+    (from used column 0) as ((k, the used columns' entries as (row, entry)
+    per column, the pairing each placed row needs, the norm), the vectors
+    it yields).  The record enumerates a copy of the state, ahead of the
+    search's own enumeration."""
+    fill = pretzel.lattice._fill_used
+    records = []
+
+    def recording(vec, gap, support, prev_in_group, start, remaining):
+        if start == 0:
+            state = (len(vec), tuple(tuple((t, e) for t, e, _ in col)
+                                     for col in support),
+                     tuple(gap), remaining)
+            records.append((state, [tuple(v) for v in fill(
+                list(vec), list(gap), support, prev_in_group, 0,
+                remaining)]))
+        return fill(vec, gap, support, prev_in_group, start, remaining)
+    monkeypatch.setattr(pretzel.lattice, "_fill_used", recording)
+    return records
+
+
+def vectors_of_norm_at_most(n, width):
+    if width == 0:
+        yield ()
+        return
+    r = math.isqrt(n)
+    for a in range(-r, r + 1):
+        for rest in vectors_of_norm_at_most(n - a * a, width - 1):
+            yield (a,) + rest
+
+
+def is_candidate(x, k, columns, need, n):
+    """Whether x is a candidate for a row of norm n meeting the placed rows
+    in `columns`: its norm, its pairings, the fresh-block rule (the entries
+    past the used columns are non-negative and non-increasing) and the
+    column groups (used columns with equal entries in every placed row,
+    whose entries may not increase)."""
+    u = len(columns)
+    pairing = [0] * len(need)
+    for c, col in enumerate(columns):
+        for t, e in col:
+            pairing[t] += e * x[c]
+    last = {}
+    for c, col in enumerate(columns):
+        if col in last and x[last[col]] < x[c]:
+            return False
+        last[col] = c
+    return (len(x) == k and sum(a * a for a in x) == n and
+            pairing == list(need) and
+            all(a >= b >= 0 for a, b in zip(x[u:], x[u + 1:] + (0,))))
+
+
+def candidates_by_brute_force(k, columns, need, n):
+    """Every candidate, sorted: all integer vectors of norm at most n on
+    the used columns, each completed by every fresh block of the norm
+    left."""
+    u = len(columns)
+    found = []
+    for used in vectors_of_norm_at_most(n, u):
+        left = n - sum(a * a for a in used)
+        for block in fresh_blocks_by_brute_force(left, k - u):
+            if is_candidate(used + block, k, columns, need, n):
+                found.append(used + block)
+    return sorted(found)
+
+
+def test_candidates_match_brute_force_on_real_states(big_enumeration,
+                                                     monkeypatch):
+    # Every pruning rule is pruning only: the candidates of a row are
+    # exactly the vectors the fresh-block rule and the column groups allow,
+    # in lexicographic order.  The states are those that searches meet on
+    # the 8x7 graphs, on a graph where the value skip divides by an entry
+    # of 2, and on Gram matrices of random integer matrices, whose rows of
+    # norm up to 12 make the value skip jump; each Wu prune on and off.
+    _, cache, _ = big_enumeration
+    searched = [StarGraph(center, legs) for center, legs in cache]
+    searched.append(StarGraph(-5, ((-6,), (-3,))))
+    rng = random.Random(1)
+    searched += [random_gram_matrix(rng) for _ in range(100)]
+    records = record_enumerations(monkeypatch)
+    for g in searched:
+        for wu in (True, False):
+            find_embedding(g, SearchConfig(wu_pruning=wu))
+    states = dict(records)
+    small = 0
+    for state, got in states.items():
+        assert got == sorted(set(got)), state
+        assert all(is_candidate(x, *state) for x in got), state
+        k, columns, need, n = state
+        if len(columns) <= 6 and n <= 12:
+            assert got == candidates_by_brute_force(*state), state
+            small += 1
+    assert (len(states), small) == (8574, 1194)
 
 
 def test_8x7_report_bytes(big_enumeration):

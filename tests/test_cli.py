@@ -7,6 +7,8 @@ import tracemalloc
 
 import pytest
 
+import pretzel.classify
+import pretzel.plumbing
 from pretzel.cli import CSV_HEADER, main, record_to_json
 from pretzel.plumbing import MAX_GRAPH_RANK
 from pretzel import (analyze, incidence_matrix, negative_definite_graph,
@@ -221,6 +223,22 @@ def test_graph_rank_too_large_exit_2(command, params, capsys):
     assert err.startswith("error: graph rank ")
     assert "exceeds %d" % MAX_GRAPH_RANK in err
     assert err.splitlines() == [err.strip()]
+
+
+def test_analyze_builds_the_graph_once(capsys, monkeypatch):
+    # the input check builds no graph; analyze's own build refuses a rank
+    # too large (test_graph_rank_too_large_exit_2)
+    calls = []
+    build = pretzel.plumbing._graph_and_determinant
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+    for module in (pretzel.plumbing, pretzel.classify):
+        monkeypatch.setattr(module, "_graph_and_determinant", counted)
+    assert main(["analyze", "1,1,1,1,-3,-3,-3"]) == 0
+    assert "ribbon_known" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("params", ["[3^100000000000000000000],-3",

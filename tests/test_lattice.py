@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +368,40 @@ def test_node_limit_inconclusive():
     assert res.nodes == 2
 
 
+def random_gram_matrix(rng, max_rank=5):
+    """Q = -M M^T of a random nonsingular integer matrix M, which M itself
+    embeds."""
+    while True:
+        k = rng.randint(2, max_rank)
+        m = [[rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(k)]
+             for _ in range(k)]
+        q = [[-sum(a * b for a, b in zip(r, s)) for s in m] for r in m]
+        if bareiss_determinant(q):
+            return q
+
+
+def test_gram_matrices_of_integer_matrices_embed():
+    # ground truth with no oracle: a false NOT_EMBEDDABLE from a pruning
+    # rule shows here, on rows of norm up to 24 with large pairings
+    rng = random.Random(20261020)
+    for _ in range(300):
+        q = random_gram_matrix(rng, max_rank=6)
+        for wu in (True, False):
+            res = find_embedding(q, SearchConfig(wu_pruning=wu))
+            assert res.status is DonaldsonStatus.EMBEDDABLE, (q, wu)
+
+
+def test_node_limit_bounds_a_heavy_row():
+    # the row of norm 30,001 meets long runs of values that a placed row
+    # rules out, between two counted nodes; the value skip jumps over each
+    # run, so the search ends in the same 7 nodes as at weight 10,001
+    for heavy in (-10001, -30001):
+        res = find_embedding(negative_definite_graph((3, heavy, 5)),
+                             SearchConfig(node_limit=10))
+        assert (res.status, res.nodes) == \
+            (DonaldsonStatus.NOT_EMBEDDABLE, 7), heavy
+
+
 def fresh_blocks_by_brute_force(n, width):
     """Every non-increasing sequence of positive integers with squares
     summing to n and at most width entries, zero-padded to width, in
@@ -414,6 +449,21 @@ def test_search_depth_does_not_grow_with_rank():
         sys.setrecursionlimit(limit)
     assert (res.status, res.nodes) == (DonaldsonStatus.EMBEDDABLE, 303)
     assert verify_embedding(g, res.witness)
+
+
+def test_search_memory_follows_its_rows():
+    # the pruning state is shared by the rows and kept with undo, so a
+    # rank-303 search holds a few vectors per row, not a support rebuilt
+    # for every row
+    g = negative_definite_graph((301, -301, 2))
+    tracemalloc.start()
+    try:
+        res = find_embedding(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.nodes) == (DonaldsonStatus.EMBEDDABLE, 303)
+    assert peak < 15_000_000
 
 
 def test_search_leaves_no_reference_cycles():

@@ -19,8 +19,10 @@ RibbonKnown; vanishing obstructions without a family match are reported
 honestly as ObstructionsVanish, never as "slice" (mutants with the right
 multiset in the wrong order can have all cover-derived obstructions vanish
 yet fail to be slice).  Once parameters reach 8 in absolute value these
-include fiberable classes of two patterns that match no family:
-(3, -5, -8) and (3, -5, -12), each alone or with one pair {q, -q}.
+include fiberable classes that match no family: (3, -5, -8) plus pairs
+{q, -q}, and from |q| = 12 on (3, -5, -12) plus pairs.  At 9 strands and
+|q| <= 9 all 35 of them are (3, -5, -8), with zero, one, two or three
+pairs in 1, 4, 10 and 20 classes.
 
 The exceptional family, pairs plus the triple (a, -a-2, -(a+1)^2/2) with
 a = 1 or 97 mod 120, has so far resisted classification; those classes are

@@ -43,7 +43,7 @@ import os
 import re
 import sys
 import time
-from collections import ChainMap
+from collections import ChainMap, Counter
 
 from .core import classify_type, parse_params
 from .classify import Status, analyze, class_record, knot_classes
@@ -105,18 +105,20 @@ def _knot(text):
 
 
 def record_to_json(verdict, ms_elapsed) -> dict:
+    """The analysis record of a knot's verdict: the --json object, and the
+    one source of analyze's text."""
     rep = verdict.obstructions
     fam = verdict.family
-    don = rep.donaldson if rep else None
+    don = rep.donaldson
     return {
         "input": ",".join(str(x) for x in verdict.params),
         "params": list(verdict.normalized),
         "kind": verdict.kind.value,
         "fibered": verdict.fibered.status.value,
         "subcase": verdict.fibered.subcase.value,
-        "det": rep.det_value if rep else None,
-        "det_square": rep.det_is_square if rep else None,
-        "sigma": rep.signature if rep else None,
+        "det": rep.det_value,
+        "det_square": rep.det_is_square,
+        "sigma": rep.signature,
         "donaldson": don.status.value if don is not None else "skipped",
         "witness": [list(r) for r in don.witness]
         if don and don.witness else None,
@@ -135,17 +137,18 @@ def record_to_json(verdict, ms_elapsed) -> dict:
     }
 
 
-def _family_text(fam):
-    if fam is None:
+def _family_text(rec):
+    """The family line of analyze's text, from an analysis record."""
+    if rec["family"] is None:
         return "none"
-    bits = [fam.tag]
-    if fam.pairs:
-        bits.append("pairs " + ",".join(str(q) for q in fam.pairs))
-    if fam.k is not None:
-        bits.append("k=%d" % fam.k)
-    if fam.t is not None:
-        bits.append("t=%d" % fam.t)
-    if fam.mirrored:
+    bits = [rec["family"]]
+    if rec["family_pairs"]:
+        bits.append("pairs " + ",".join(map(str, rec["family_pairs"])))
+    if rec["family_k"] is not None:
+        bits.append("k=%(family_k)d" % rec)
+    if rec["family_t"] is not None:
+        bits.append("t=%(family_t)d" % rec)
+    if rec["family_mirrored"]:
         bits.append("mirrored")
     return " ".join(bits)
 
@@ -158,27 +161,23 @@ def cmd_analyze(args):
         verdict = analyze(params, node_limit=limit)
     except ValueError as exc:   # the graph's rank bound, checked as it builds
         raise _InputError(exc)
-    ms = int((time.monotonic() - start) * 1000)
+    rec = record_to_json(verdict, int((time.monotonic() - start) * 1000))
     if args.json:
-        print(json.dumps(record_to_json(verdict, ms), sort_keys=True))
+        print(json.dumps(rec, sort_keys=True))
     else:
-        rep = verdict.obstructions
-        print("P(%s)" % ",".join(str(x) for x in verdict.normalized))
-        print("  kind:       %s" % verdict.kind.value)
-        print("  fibered:    %s (%s)" % (verdict.fibered.status.value,
-                                         verdict.fibered.subcase.value))
+        print("P(%s)" % ",".join(map(str, rec["params"])))
+        print("  kind:       %(kind)s" % rec)
+        print("  fibered:    %(fibered)s (%(subcase)s)" % rec)
         print("  det:        %d (%ssquare)"
-              % (rep.det_value, "" if rep.det_is_square else "non-"))
-        print("  signature:  %d" % rep.signature)
-        don = rep.donaldson
-        print("  donaldson:  %s"
-              % (don.status.value if don is not None else "skipped"))
-        print("  family:     %s" % _family_text(verdict.family))
-        print("  exceptional: %s" % verdict.exceptional)
-        print("  detectably ribbon: %s" % verdict.detectably_ribbon)
-        tail = " (%s)" % verdict.reason if verdict.reason else ""
-        print("  status:     %s%s" % (verdict.status.value, tail))
-    return 0 if verdict.status is not Status.INCONCLUSIVE else 3
+              % (rec["det"], "" if rec["det_square"] else "non-"))
+        print("  signature:  %(sigma)d" % rec)
+        print("  donaldson:  %(donaldson)s" % rec)
+        print("  family:     %s" % _family_text(rec))
+        print("  exceptional: %(exceptional)s" % rec)
+        print("  detectably ribbon: %(detectably_ribbon)s" % rec)
+        tail = " (%(reason)s)" % rec if rec["reason"] else ""
+        print("  status:     %s%s" % (rec["status"], tail))
+    return 0 if rec["status"] != Status.INCONCLUSIVE.value else 3
 
 
 def cmd_embed(args):
@@ -264,7 +263,7 @@ def _load_cache(directory):
     if not os.path.exists(path):
         return cache
     try:
-        fh = open(path)
+        fh = open(path, "rb")   # json.loads decodes, inside the try
     except OSError as exc:
         raise _InputError("cannot read cache file %s: %s" % (path, exc))
     with fh:
@@ -361,11 +360,9 @@ def cmd_enumerate(args):
             records.append(class_record(ms, node_limit=node_limit,
                                         cache=cache))
 
-    lines = [CSV_HEADER] if args.format == "csv" else []
-    for rec in records:
-        lines.append(_csv_row(rec) if args.format == "csv"
-                     else _jsonl_row(rec))
-    text = "\n".join(lines) + "\n"
+    head, row = (([CSV_HEADER], _csv_row) if args.format == "csv"
+                 else ([], _jsonl_row))
+    text = "\n".join(head + [row(rec) for rec in records]) + "\n"
 
     # the cache first: a run that exits 2 leaves no report behind
     if args.cache:
@@ -384,9 +381,7 @@ def cmd_enumerate(args):
     else:
         sys.stdout.write(text)
 
-    counts = {}
-    for rec in records:
-        counts[rec.status.value] = counts.get(rec.status.value, 0) + 1
+    counts = Counter(rec.status.value for rec in records)
     summary = " ".join("%s=%d" % kv for kv in sorted(counts.items()))
     print("enumerated %d classes: %s" % (len(records), summary),
           file=sys.stderr)

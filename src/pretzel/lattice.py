@@ -476,6 +476,9 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             support[c].append((t, e, tail))
             key[c] = (key[c], t, e)
         stack.append(candidates(t + 1))
+    # each suspended generator holds a vector of length k: free them before
+    # the witness is built and verified
+    stack.clear()
 
     # undo the search reordering: row i of the witness is vertex i
     witness = [[0] * k for _ in range(k)]

@@ -303,6 +303,15 @@ def test_8x7_determinants_match_goeritz(big_enumeration):
         _goeritz_matrix(r.class_key))) != r.det] == []
 
 
+def test_8x7_signatures_match_goeritz(big_enumeration):
+    # the Gordon-Litherland signature of the Goeritz matrix, against the
+    # plumbing graph's signature in every record
+    records, _, _ = big_enumeration
+    assert len(records) == 15414
+    assert [r.class_key for r in records
+            if goeritz_signature(r.class_key) != r.sigma] == []
+
+
 def independent_wu_set(g):
     """The dense Wu set of a star graph, asserted to hold no edge and to be
     the one the leg walk finds (wu_vertices of the graph itself)."""

@@ -45,6 +45,53 @@ def test_analyze_human_text(capsys):
     assert "ribbon_known" in out and "F1" in out
 
 
+# one knot for each field of the family line: pairs, k, t and mirrored
+ANALYZE_TEXTS = {
+    "5,-5,3,-3,4": """\
+P(5,-5,3,-3,4)
+  kind:       type2
+  fibered:    fibered (T2B)
+  det:        225 (square)
+  signature:  0
+  donaldson:  embeddable
+  family:     F2 pairs 3,5 k=4
+  exceptional: False
+  detectably ribbon: True
+  status:     ribbon_known
+""",
+    "1,3,4,-7": """\
+P(1,3,4,-7)
+  kind:       type3
+  fibered:    fibered (T3A)
+  det:        121 (square)
+  signature:  0
+  donaldson:  embeddable
+  family:     F3 t=3
+  exceptional: False
+  detectably ribbon: True
+  status:     ribbon_known
+""",
+    "-2,3,-5,5": """\
+P(-2,3,-5,5)
+  kind:       type3
+  fibered:    fibered (T3C)
+  det:        25 (square)
+  signature:  0
+  donaldson:  embeddable
+  family:     F4 pairs 5 k=2 mirrored
+  exceptional: False
+  detectably ribbon: True
+  status:     ribbon_known
+""",
+}
+
+
+@pytest.mark.parametrize("params", sorted(ANALYZE_TEXTS))
+def test_analyze_text_pinned(params, capsys):
+    assert main(["analyze", params]) == 0
+    assert capsys.readouterr().out == ANALYZE_TEXTS[params]
+
+
 def test_analyze_rejects_zero():
     r = run_cli("analyze", "0,3,5")
     assert r.returncode == 2
@@ -431,6 +478,25 @@ def test_enumerate_truncated_cache_exit_2(tmp_path):
     assert r.stderr.splitlines() == [r.stderr.strip()]
     assert r.stderr.startswith("error: bad cache file %s line %d: "
                                % (path, len(lines)))
+
+
+@pytest.mark.parametrize("blob, n", [
+    (b"\xff\xfe\n", 1),
+    (b'{"center": -2, "legs": [], "nodes": 1, "status": "not_embeddable", '
+     b'"witness": null}\n\xc3\x28\n', 2),
+], ids=["utf16-bom", "second-line"])
+def test_enumerate_cache_not_utf8_exit_2(blob, n, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "donaldson-cache.jsonl"
+    path.write_bytes(blob)
+    out = tmp_path / "r.csv"
+    assert main(["enumerate", "--max-strands", "3", "--max-param", "3",
+                 "--cache", str(cache), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad cache file %s line %d: " % (path, n))
+    assert err.splitlines() == [err.strip()]
+    assert not out.exists()
 
 
 # one field of an embeddable entry set to a value the cache must refuse;

@@ -466,6 +466,20 @@ def test_search_memory_follows_its_rows():
     assert peak < 15_000_000
 
 
+def test_search_frees_its_candidates_before_the_witness():
+    # the suspended candidate generators, one per row with a vector of
+    # length k each, are gone by the time the witness is built and verified
+    g = negative_definite_graph((301, -301, 2))
+    tracemalloc.start()
+    try:
+        res = find_embedding(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.nodes) == (DonaldsonStatus.EMBEDDABLE, 303)
+    assert peak < 6_500_000
+
+
 def test_search_leaves_no_reference_cycles():
     searches = [
         (negative_definite_graph((1, 1, 1, 1, -3, -3, -3)), None,

@@ -14,7 +14,11 @@ known fibered-ribbon families:
   F3: {1, 3, t+1, -4-t} + pairs {q,-q}      q_i >= 3 odd, r,t >= 0
   F4: {k, -k-1} + pairs {q,-q}              q_i >= 3 odd, 1 < k < q_i
 
-all up to mirror and reordering.  Family membership is reported as
+all up to mirror and reordering.  No base holds a pair {q, -q}, and
+neither does the exceptional triple below.  So a multiset is a base plus
+pairs in at most one way: the base is its pair-free core, what is left
+once every pair {q, -q} is taken out.  The matchers split a multiset once
+and read the base off its core.  Family membership is reported as
 RibbonKnown; vanishing obstructions without a family match are reported
 honestly as ObstructionsVanish, never as "slice" (mutants with the right
 multiset in the wrong order can have all cover-derived obstructions vanish
@@ -44,8 +48,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (Kind, MutationClass, as_params, classify_type, mirror,
-                   normalize)
+from .core import Kind, MutationClass, as_params, classify_type, normalize
 from .fibered import (FiberStatus, FiberVerdict, Subcase, _class_fiberable,
                       _decide)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
@@ -102,61 +105,67 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # ribbon family matching
 
-_F1 = [-3, -3, -3, 1, 1, 1, 1]
+_F1 = (-3, -3, -3, 1, 1, 1, 1)
 
 
-def _take(ms, base):
-    """ms less the multiset base, or None when ms does not contain base."""
-    rest = list(ms)
-    try:
-        for b in base:
-            rest.remove(b)
-    except ValueError:
-        return None
-    return rest
+def _split(ms) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(core, pairs) of the multiset ms, both sorted.  Every pair {q, -q}
+    of ms is taken out and recorded in pairs as its q > 0, so the core, the
+    rest, holds no such pair.  One count and one sort of the distinct
+    values keep it O(n log n) on long lists."""
+    count = {}
+    for x in ms:
+        count[x] = count.get(x, 0) + 1
+    core, pairs = [], []
+    for x in sorted(count):
+        n = min(count[x], count.get(-x, 0))
+        core += [x] * (count[x] - n)
+        if x > 0:
+            pairs += [x] * n
+    return tuple(core), tuple(pairs)
 
 
-def _pairs(values):
-    """The sorted q > 0 of a split of values into pairs {q, -q}, or None."""
-    pos = sorted(x for x in values if x > 0)
-    if 2 * len(pos) == len(values) and \
-            pos == sorted(-x for x in values if x < 0):
-        return tuple(pos)
+def _base(core) -> tuple[str, int | None, int | None] | None:
+    """(tag, k, t) of the F1..F4 base that the sorted tuple core is, or
+    None.  The least entry of an F4 base is -k-1 and that of an F3 base
+    -4-t, so it fixes the rest of the base."""
+    if core == _F1:
+        return "F1", None, None
+    if len(core) == 1 and core[0] % 2 == 0:
+        return "F2", core[0], None
+    k = -core[0] - 1 if core else 0
+    if k > 1 and core[1:] == (k,):
+        return "F4", k, None
+    if k >= 3 and core[1:] == tuple(sorted((1, 3, k - 2))):
+        return "F3", None, k - 3
     return None
 
 
-def _bases(ms):
-    """(tag, k, t, rest) for each F1..F4 base contained in the multiset ms,
-    rest being ms less the base.  The F1 base is 10_75 itself and takes no
-    pairs, so it is only found with an empty rest."""
-    if sorted(ms) == _F1:
-        yield "F1", None, None, []
-    for x in set(ms):
-        if x % 2 == 0:
-            yield "F2", x, None, _take(ms, (x,))
-        if x > 1 and -x - 1 in ms:
-            yield "F4", x, None, _take(ms, (x, -x - 1))
-    # F3 base {1, 3, t+1, -4-t}: with x = t+1 >= 1 the last entry is -3-x
-    rest13 = _take(ms, (1, 3))
-    for x in set(rest13 or ()):
-        if x >= 1 and -3 - x in rest13:
-            yield "F3", None, x - 1, _take(rest13, (x, -3 - x))
+def _sides(core):
+    """The sorted core and its sorted mirror."""
+    return core, tuple(-x for x in reversed(core))
 
 
 def match_family(c: MutationClass) -> tuple[RibbonFamily | None,
                                             tuple[RibbonFamily, ...]]:
     """All family matches of a mutation class, tried on the multiset and its
     mirror; the primary match is the first in tag order F1 < F2 < F3 < F4."""
+    return _families(*_split(as_params(c.multiset)))
+
+
+def _families(core, pairs):
+    """match_family of the multiset split into core and pairs.  Only F2's
+    base {k} reads as a base on both sides, so the unmirrored match comes
+    first in tag order without a sort."""
     found = []
-    for mirrored, ms in ((False, c.multiset), (True, mirror(c.multiset))):
-        for tag, k, t, rest in _bases(ms):
-            pairs = _pairs(rest)
-            if pairs is None or any(q < 3 or q % 2 == 0 for q in pairs) \
+    if all(q >= 3 and q % 2 for q in pairs):
+        for mirrored, side in zip((False, True), _sides(core)):
+            tag, k, t = _base(side) or (None, None, None)
+            if tag is None or (tag == "F1" and pairs) \
                     or (tag == "F2" and not pairs) \
-                    or (tag == "F4" and any(q <= k for q in pairs)):
+                    or (tag == "F4" and pairs and pairs[0] <= k):
                 continue
             found.append(RibbonFamily(tag, pairs, k, t, mirrored))
-    found.sort(key=lambda f: (f.tag, f.mirrored, f.pairs))
     return (found[0] if found else None), tuple(found)
 
 
@@ -164,17 +173,16 @@ def is_exceptional(c: MutationClass) -> bool:
     """Pairs {p, -p} plus a triple (a, -a-2, -(a+1)^2/2), a = 1 or 97
     mod 120, up to mirror and reordering."""
     return classify_type(c.multiset) is Kind.TYPE2 and \
-        _exceptional_triple(c.multiset)
+        _exceptional_triple(_split(c.multiset)[0])
 
 
-def _exceptional_triple(multiset) -> bool:
-    """is_exceptional of a Type 2 multiset."""
-    for ms in (multiset, mirror(multiset)):
-        for a in {x for x in ms if x > 0 and x % 120 in (1, 97)}:
-            rest = _take(ms, (a, -a - 2, -((a + 1) ** 2) // 2))
-            if rest is not None and _pairs(rest) is not None:
-                return True
-    return False
+def _exceptional_triple(core) -> bool:
+    """is_exceptional of a Type 2 multiset, read off its pair-free core:
+    the core or its mirror is the triple, whose positive entry a is its
+    greatest."""
+    return any(len(side) == 3 and (a := side[2]) % 120 in (1, 97) and
+               side == tuple(sorted((a, -a - 2, -((a + 1) ** 2) // 2)))
+               for side in _sides(core))
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +212,8 @@ def detectably_ribbon_reduce(params) -> tuple[int, ...]:
 def is_detectably_ribbon(params) -> bool:
     """The adjacent-pair ribbon move reduces params to a family base (or
     its mirror) with nothing left over."""
-    p = detectably_ribbon_reduce(params)
-    return any(not rest for ms in (p, tuple(-x for x in p))
-               for _, _, _, rest in _bases(ms))
+    p = tuple(sorted(detectably_ribbon_reduce(params)))
+    return any(_base(side) for side in _sides(p))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +241,10 @@ def analyze(params, node_limit: int | None = None) -> Verdict:
 def _class_facts(ms, kind, node_limit, cache):
     """(ObstructionReport, primary family, all families, exceptional,
     status, reason) of the sorted, normalized multiset ms of the given
-    kind, each computed once.  The callers have validated ms as a knot, so
-    the negative definite graph and the determinant come from one plumbing
-    construction that does not validate again.
+    kind, each computed once; the family and the exceptional flag read one
+    split of ms into core and pairs.  The callers have validated ms as a
+    knot, so the negative definite graph and the determinant come from one
+    plumbing construction that does not validate again.
 
     NotSlice short-circuits before the embedding search whenever the
     determinant or the signature already obstructs.  The signature and the
@@ -246,10 +254,9 @@ def _class_facts(ms, kind, node_limit, cache):
     g, det = _graph_and_determinant(ms)
     det_square = math.isqrt(det) ** 2 == det
     sig = -graph_signature(g) if g.mirrored else graph_signature(g)
-    # ms is sorted, so the reversed negation is its sorted mirror
-    cls = MutationClass(ms, min(ms, tuple(-x for x in reversed(ms))))
-    family, all_fams = match_family(cls)
-    exceptional = kind is Kind.TYPE2 and _exceptional_triple(ms)
+    core, pairs = _split(ms)
+    family, all_fams = _families(core, pairs)
+    exceptional = kind is Kind.TYPE2 and _exceptional_triple(core)
 
     donaldson = reason = None
     if not det_square:

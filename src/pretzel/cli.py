@@ -94,12 +94,12 @@ def _params(text):
 
 
 def _knot(text):
-    """(the parameters of text, their negative definite graph), each bad
+    """The negative definite graph of the parameters of text, each bad
     input an input error.  negative_definite_graph refuses a rank above
     MAX_GRAPH_RANK before it builds the leg past it."""
     params = _params(text)
     try:
-        return params, negative_definite_graph(params)
+        return negative_definite_graph(params)
     except ValueError as exc:
         raise _InputError(exc)
 
@@ -181,7 +181,7 @@ def cmd_analyze(args):
 
 
 def cmd_embed(args):
-    _, g = _knot(args.params)
+    g = _knot(args.params)
     limit = _node_limit_from(args)
     res = find_embedding(g, SearchConfig(node_limit=limit))
     if args.json:
@@ -204,7 +204,7 @@ def cmd_embed(args):
 
 
 def cmd_graph(args):
-    _, g = _knot(args.params)
+    g = _knot(args.params)
     print(to_dot(g, wu_vertices(g)))
     return 0
 

@@ -107,12 +107,15 @@ def mirror(params) -> tuple[int, ...]:
 def normalize(params) -> tuple[int, ...]:
     """Simplify unitary parameters by the standard diagram moves.
 
-    Repeatedly (a) delete one +1 together with one -1, and (b) when some
-    p_i = ±1 coexists with some p_j = ∓2, delete p_i and replace p_j by ±2
-    (the sign of the deleted unitary; a flype absorbs the unitary into the
-    2-twist region).  The result has no opposite-sign unitary pair and no
-    (±1, ∓2) coexistence; knot/link status is unchanged.  Deletions are
-    leftmost-first and the order of the surviving entries is preserved.
+    First (a) delete one +1 together with one -1, min(#1, #-1) times.
+    Then (b), while some p_i = ±1 coexists with some p_j = ∓2, delete p_i
+    and replace p_j by ±2 (the sign of the deleted unitary; a flype absorbs
+    the unitary into the 2-twist region).  Rule (a) never applies again:
+    after it every unitary has one sign, and rule (b) deletes a unitary of
+    that sign and creates none.  The result has no opposite-sign unitary
+    pair and no (±1, ∓2) coexistence; knot/link status is unchanged.
+    Deletions are leftmost-first and the order of the surviving entries is
+    preserved.
 
     Which ±2 entry a rule (b) step flips depends on the rewrite order, so
     last the ±2 entries are sorted among their own positions (every -2
@@ -121,22 +124,16 @@ def normalize(params) -> tuple[int, ...]:
     parameter, so this step only ever moves entries of links.
 
     With that step the result does not depend on the rewrite order (checked
-    by test on random inputs); rule (a) is exhausted before rule (b).
+    by test on random inputs).
     """
     p = list(as_params(params))
-    changed = True
-    while changed:
-        changed = False
-        while 1 in p and -1 in p:
-            p.remove(1)
-            p.remove(-1)
-            changed = True
-        for unit, two in ((1, -2), (-1, 2)):
-            if unit in p and two in p:
-                p.remove(unit)
-                p[p.index(two)] = -two
-                changed = True
-                break
+    for _ in range(min(p.count(1), p.count(-1))):
+        p.remove(1)
+        p.remove(-1)
+    for unit, two in ((1, -2), (-1, 2)):
+        while unit in p and two in p:
+            p.remove(unit)
+            p[p.index(two)] = -two
     if not p:
         raise ValueError("parameters cancel completely (unlink); "
                          "no normalized form exists")

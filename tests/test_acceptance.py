@@ -21,13 +21,17 @@ from pretzel import (DonaldsonStatus, FiberStatus, SearchConfig,
                      SingularMod2Error, Status, Subcase, analyze,
                      bareiss_determinant, determinant, enumerate_classes,
                      find_embedding, graph_signature, incidence_matrix,
-                     is_fibered, mirror, negative_definite_graph, signature,
-                     verify_embedding, wu_vertices)
+                     is_detectably_ribbon, is_exceptional, is_fibered,
+                     match_family, mirror, mutation_class,
+                     negative_definite_graph, signature, verify_embedding,
+                     wu_vertices)
 from pretzel.cli import CSV_HEADER, _csv_row
 from pretzel.plumbing import StarGraph
 
 from conftest import random_knot_params
 from embedding_oracle import exhaustive_embedding
+from family_scan_oracle import (is_detectably_ribbon_by_scan,
+                                is_exceptional_by_scan, match_family_by_scan)
 from goeritz_oracle import _goeritz_matrix, goeritz_signature
 from gram_oracle import dense_verify_embedding
 from test_lattice import (KNOWN_1075_ROWS, fresh_blocks_by_brute_force,
@@ -310,6 +314,67 @@ def test_8x7_signatures_match_goeritz(big_enumeration):
     assert len(records) == 15414
     assert [r.class_key for r in records
             if goeritz_signature(r.class_key) != r.sigma] == []
+
+
+# Bases a family member is built on: F1, F2, F3 with t = 0 and 3, F4 with
+# k = 2 and 5, and the exceptional triple with a = 1, 97 and 121.
+PLANTED_BASES = [(1, 1, 1, 1, -3, -3, -3), (6,), (-4,), (1, 3, 1, -4),
+                 (1, 3, 4, -7), (2, -3), (5, -6), (1, -3, -2),
+                 (97, -99, -4802), (121, -123, -7442)]
+
+
+def family_verdicts(params):
+    """(match_family, is_exceptional, is_detectably_ribbon) of params by
+    the matchers, then by the scan oracle."""
+    c = mutation_class(params)
+    return ((match_family(c), is_exceptional(c), is_detectably_ribbon(params)),
+            (match_family_by_scan(c), is_exceptional_by_scan(c),
+             is_detectably_ribbon_by_scan(params)))
+
+
+def test_family_matchers_match_scan_oracle(big_enumeration):
+    # the matchers read the pair-free core of a multiset; the oracle tries
+    # every base and triple the multiset contains.  match_family is
+    # compared on every field of every match
+    records, _, _ = big_enumeration
+    assert len(records) == 15414
+    rng = random.Random(2727)
+    values = [v for v in range(-12, 13) if v]
+    lists = [r.class_key for r in records] + [
+        tuple(rng.choice(values) for _ in range(rng.randint(1, 9)))
+        for _ in range(1000)]
+    for base in PLANTED_BASES:
+        for _ in range(10):
+            # the pair values include 1 and evens, which no family takes
+            qs = [rng.choice((1, 2, 3, 5, 7, 9, 11, 97))
+                  for _ in range(rng.randint(0, 3))]
+            p = list(base) + [x for q in qs for x in (q, -q)]
+            rng.shuffle(p)
+            lists.append(tuple(p))
+    # an empty core, 10_75 with a pair, the F2 base alone and an F4 pair
+    # q <= k: no family
+    edges = [(3, -3, 5, -5), (1, 1, 1, 1, -3, -3, -3, 3, -3), (4,),
+             (3, -4, 3, -3)]
+    verdicts = {q: family_verdicts(q)
+                for p in lists + edges for q in (p, mirror(p))}
+    assert [q for q, (got, want) in verdicts.items() if got != want] == []
+    found = [got for got, _ in verdicts.values()]
+    assert {f.tag for (_, fams), _, _ in found for f in fams} == \
+        {"F1", "F2", "F3", "F4"}
+    assert sum(exceptional for _, exceptional, _ in found) > 0
+    assert [verdicts[q][0][0] for p in edges for q in (p, mirror(p))] == \
+        [(None, ())] * 8
+    # the class pipeline finds each record's family and exceptional flag on
+    # its own split of the class
+    assert [r.class_key for r in records if (r.family, r.exceptional) !=
+            record_fields(verdicts[r.class_key][1])] == []
+
+
+def record_fields(verdict):
+    """The family tag and exceptional flag of a class record, from the
+    family verdicts of its key."""
+    (family, _), exceptional, _ = verdict
+    return (family.tag if family else ""), exceptional
 
 
 def independent_wu_set(g):

@@ -193,20 +193,24 @@ def detectably_ribbon_reduce(params) -> tuple[int, ...]:
     leftmost first, until no such pair remains.
 
     Each cancellation is realized by a ribbon band move on the standard
-    diagram, so reaching a base form certifies a ribbon disk.  Reversal of
-    the sequence never changes adjacency, so this fixed point is canonical.
+    diagram, so reaching a base form certifies a ribbon disk.  Leftmost
+    first takes every pair inside the list before the pair that wraps from
+    the last entry to the first.  Cancelling inside a list is confluent
+    (where two pairs overlap, as in q, -q, q, either leaves q), so one
+    stack pass reaches the one fully cancelled list.  That list holds no
+    pair inside it, nor does what remains after the wrap pair goes, so
+    only wrap pairs fire from then on: the matching ends are trimmed.
     """
-    p = list(as_params(params))
-    while len(p) >= 2:
-        for i in range(len(p)):
-            j = (i + 1) % len(p)
-            if abs(p[i]) >= 2 and p[i] == -p[j]:
-                for idx in sorted((i, j), reverse=True):
-                    del p[idx]
-                break
+    p = []
+    for x in as_params(params):
+        if p and abs(x) >= 2 and p[-1] == -x:
+            p.pop()
         else:
-            break
-    return tuple(p)
+            p.append(x)
+    i, j = 0, len(p) - 1
+    while i < j and abs(p[i]) >= 2 and p[i] == -p[j]:
+        i, j = i + 1, j - 1
+    return tuple(p[i:j + 1])
 
 
 def is_detectably_ribbon(params) -> bool:

@@ -24,7 +24,14 @@ followed by the dropped entry t; conversely an alternating path of even
 length starts with 2 either as read or negated.  For t = -2 the dropped
 entry must also be ±2 (reversing the word and negating it turns a tail t
 into -t while the path still starts with 2).  The alternating model
-±P(2,-2,...,2,-2) is the whole cycle alternating.
+±P(2,-2,...,2,-2) is the whole cycle alternating.  So each model test
+reads two counts: the entries that are not ±2 and the cyclic neighbour
+pairs that are equal.  Once around an odd cycle of ±2 entries the sign
+changes an even number of times, so an odd number of neighbour pairs are
+equal; dropping entry i removes just the two pairs at i, so the rest
+alternates iff there is exactly one equal pair.  A single entry other than
+±2 must be the dropped one and equals neither neighbour, so the rest
+alternates iff no pair is equal; two such entries fail every model.
 
 Decision table (counts include unitary parameters; "odd parameters" below
 means all parameters except the unique even one):
@@ -45,6 +52,11 @@ means all parameters except the unique even one):
            L' = ±P(2,-2,...,2,-2,-2).
   Type 3C: counts agree, L' alternating.  Fibered iff there is a unique
            parameter of minimal absolute value (ties are not fibered).
+
+Note on one strand: the Type 1 and 2B rules assume more than one strand.
+A one-strand P(p) is a single twist region closed by the pretzel arcs, so
+all its crossings are nugatory: it is the unknot, which is fibered.  It
+keeps the label of its row, T1 for odd p and T2B for even p.
 
 Note on 2B: the classification also lists L' = ±P(2,-2,...,2,-2,2,-4) as
 fibered.  That model is not coded, because no Type 2B knot reaches it.  Its
@@ -104,17 +116,17 @@ def even_last_orientations(params) -> list[tuple[int, ...]]:
     The non-unitary parameters of a pretzel knot may be cyclically rotated
     and order-reversed without changing the knot, so there are at most two
     essentially different ways to put the even parameter last (one per
-    reading direction).  Unitary parameters are dropped: they flype freely
-    and only their count and sign matter.
+    reading direction).  Each direction is rotated at its last entry if
+    that entry is even, else at its first even entry.  Unitary parameters
+    are dropped: they flype freely and only their count and sign matter.
     """
     q = nonunitary(params)
     out = []
-    for seq in (q, tuple(reversed(q))):
-        for r in range(len(seq)):
-            rot = seq[r:] + seq[:r]
-            if rot[-1] % 2 == 0:
-                out.append(rot)
-                break
+    for seq in (q, q[::-1]):
+        evens = [i for i, x in enumerate(seq) if x % 2 == 0]
+        if evens:
+            i = -1 if evens[-1] == len(seq) - 1 else evens[0]
+            out.append(seq[i + 1:] + seq[:i + 1])
     return list(dict.fromkeys(out))
 
 
@@ -140,38 +152,29 @@ def aux_link(params, kind: Kind) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # model-form comparison, up to rotation / reversal / global negation
 
-def _alternates(seq) -> bool:
-    """Every entry of seq is ±2 and no two neighbours are equal."""
-    return all(abs(x) == 2 for x in seq) and \
-        all(a != b for a, b in zip(seq, seq[1:]))
+def _defects(word) -> tuple[int, int]:
+    """(entries that are not ±2, cyclic neighbour pairs that are equal)."""
+    return (sum(abs(x) != 2 for x in word),
+            sum(a == b for a, b in zip(word, word[1:] + word[:1])))
 
 
 def is_alternating_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2) up to the comparison moves: at least two
     entries, alternating around the cycle (so the length is even)."""
-    return len(word) >= 2 and _alternates(word + word[:1])
-
-
-def _drop_one_alternates(word, two_tail) -> bool:
-    """word has odd length >= 3 and, once some entry is dropped, the others
-    read cyclically from the next one alternate; with two_tail the dropped
-    entry must be ±2 as well."""
-    n = len(word)
-    return n >= 3 and n % 2 == 1 and any(
-        _alternates(word[i + 1:] + word[:i]) and
-        (not two_tail or abs(word[i]) == 2) for i in range(n))
+    return len(word) >= 2 and _defects(word) == (0, 0)
 
 
 def matches_arbitrary_tail_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,n) for some integer n, at least one (2,-2)
     pair, up to the comparison moves."""
-    return _drop_one_alternates(word, False)
+    return len(word) >= 3 and len(word) % 2 == 1 and \
+        _defects(word) in ((0, 1), (1, 0))
 
 
 def matches_extra_minus_two_model(word) -> bool:
     """word = ±P(2,-2,...,2,-2,-2), at least one (2,-2) pair, up to the
     comparison moves."""
-    return _drop_one_alternates(word, True)
+    return len(word) >= 3 and len(word) % 2 == 1 and _defects(word) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,9 @@ def matches_extra_minus_two_model(word) -> bool:
 
 def _order_free(params, kind):
     """(fibered, subcase) for the subcases that the order of the parameters
-    cannot change (T1, T2A, T3A), else None."""
+    cannot change (T1, T2A, T3A, and one strand), else None."""
+    if len(params) == 1:    # P(p) is the unknot
+        return True, Subcase.T1 if kind is Kind.TYPE1 else Subcase.T2B
     if kind is Kind.TYPE1:
         s = set(params)
         return (s <= {1, -3} and 1 in s) or (s <= {-1, 3} and -1 in s), \

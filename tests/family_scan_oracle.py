@@ -6,10 +6,12 @@ contains and tests whether the rest splits into pairs {q, -q};
 is_exceptional_by_scan tries every triple (a, -a-2, -(a+1)^2/2) the
 multiset contains; is_detectably_ribbon_by_scan asks whether the reduced
 list is one of the bases.  None of them reads the pair-free core.
+detectably_ribbon_reduce_by_scan cancels one pair at a time, rescanning
+from the first entry after each, where the production move makes one
+stack pass and trims the ends.
 """
 
-from pretzel import (Kind, RibbonFamily, classify_type,
-                     detectably_ribbon_reduce, mirror)
+from pretzel import Kind, RibbonFamily, as_params, classify_type, mirror
 
 _F1 = [-3, -3, -3, 1, 1, 1, 1]
 
@@ -83,9 +85,26 @@ def is_exceptional_by_scan(c) -> bool:
         _exceptional_triple(c.multiset)
 
 
+def detectably_ribbon_reduce_by_scan(params):
+    """Reference implementation of detectably_ribbon_reduce: cancel the
+    first cyclically adjacent pair (q, -q) with |q| >= 2, then scan again
+    from the start, until no pair is left."""
+    p = list(as_params(params))
+    while len(p) >= 2:
+        for i in range(len(p)):
+            j = (i + 1) % len(p)
+            if abs(p[i]) >= 2 and p[i] == -p[j]:
+                for idx in sorted((i, j), reverse=True):
+                    del p[idx]
+                break
+        else:
+            break
+    return tuple(p)
+
+
 def is_detectably_ribbon_by_scan(params) -> bool:
     """Reference implementation of is_detectably_ribbon: the reduced list,
     or its mirror, is a base with nothing left over."""
-    p = detectably_ribbon_reduce(params)
+    p = detectably_ribbon_reduce_by_scan(params)
     return any(not rest for ms in (p, tuple(-x for x in p))
                for _, _, _, rest in _bases(ms))

@@ -5,12 +5,15 @@ class_fiberable_by_scan decides class-level fiberedness by running
 is_fibered on every ordering of the multiset, one per
 cyclic-rotation-and-reversal class.  The *_model_by_scan functions decide
 the three model links by trying every rotation, reversal and negation of
-the word against the literal model.
+the word against the literal model.  even_last_orientations_by_scan
+rotates each reading direction one step at a time until the last entry is
+even.
 """
 
 import itertools
 
 from pretzel import FiberStatus, is_fibered
+from pretzel.core import nonunitary
 
 
 def distinct_orderings(ms):
@@ -73,3 +76,17 @@ def extra_minus_two_model_by_scan(word) -> bool:
     """word = ±P(2,-2,...,2,-2,-2): some variant reads 2,-2,...,2,-2,-2."""
     return len(word) >= 3 and len(word) % 2 == 1 and \
         _matches_model(word, -2)
+
+
+def even_last_orientations_by_scan(params):
+    """Reference implementation of even_last_orientations: try every
+    rotation of each reading direction, the unrotated one first."""
+    q = nonunitary(params)
+    out = []
+    for seq in (q, tuple(reversed(q))):
+        for r in range(len(seq)):
+            rot = seq[r:] + seq[:r]
+            if rot[-1] % 2 == 0:
+                out.append(rot)
+                break
+    return list(dict.fromkeys(out))

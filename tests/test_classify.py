@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from pretzel import (DonaldsonStatus, FiberStatus, Kind, Status, Subcase,
                      analyze, class_fiberable, detectably_ribbon_reduce,
                      enumerate_classes, is_detectably_ribbon, is_exceptional,
-                     knot_classes, match_family, mirror, mutation_class,
-                     normalize)
+                     is_fibered, knot_classes, match_family, mirror,
+                     mutation_class, normalize)
 import pretzel.classify
 import pretzel.fibered
 import pretzel.plumbing
@@ -17,6 +18,7 @@ from pretzel.classify import class_record
 
 from class_scan_oracle import knot_classes_by_scan
 from conftest import random_knot_params
+from family_scan_oracle import detectably_ribbon_reduce_by_scan
 from fiber_scan_oracle import class_fiberable_by_scan
 
 
@@ -116,6 +118,54 @@ def test_detectably_ribbon_flag():
     assert is_detectably_ribbon((4,))                   # base (k), no pairs
     assert is_detectably_ribbon((1, 1, 1, 1, -3, -3, -3))
     assert not is_detectably_ribbon((3, 5, -3, -5, 7))
+
+
+def test_reduce_equals_its_scan():
+    """The one stack pass plus the end trim equals the oracle's leftmost
+    first loop on all 55,986 lists of length 1-6 over {±1, ±2, ±3} and on
+    seeded random lists of length up to 40 over a small alphabet, so that
+    long chains of cancellations, inside the list and across its ends,
+    occur."""
+    values = (1, -1, 2, -2, 3, -3)
+    lists = [p for n in range(1, 7)
+             for p in itertools.product(values, repeat=n)]
+    assert len(lists) == 55986
+    rng = random.Random(3030)
+    lists += [tuple(rng.choice(values) for _ in range(rng.randint(1, 40)))
+              for _ in range(3000)]
+    assert [p for p in lists if detectably_ribbon_reduce(p) !=
+            detectably_ribbon_reduce_by_scan(p)] == []
+
+
+# Long lists: h + reversed(-h) cancels completely, but only one pair at a
+# time from the middle; the others have thousands of strands.
+_H = [3 + 2 * (i % 50) for i in range(2000)]
+LONG_LISTS = {
+    "nested": tuple(_H + [-x for x in reversed(_H)]),
+    "alternating_2601": (3, -5) * 1300 + (4,),
+    "alternating_3999": (3, -5) * 1999 + (4,),
+    "blocks": (3,) * 1999 + (4,) + (-3,) * 1999,
+}
+
+
+def test_long_lists_keep_their_verdicts():
+    """is_fibered, the ribbon move and analyze on lists of thousands of
+    entries, pinned to the verdicts of the scans they replaced."""
+    fibered = (FiberStatus.FIBERED, Subcase.T2B)
+    expected = {
+        "nested": (FiberStatus.NOT_A_KNOT, Subcase.NONE, (), False),
+        # nothing cancels: the reduced list is the list itself
+        "alternating_2601": fibered + (LONG_LISTS["alternating_2601"], False),
+        "alternating_3999": fibered + (LONG_LISTS["alternating_3999"], False),
+        "blocks": (FiberStatus.NOT_FIBERED, Subcase.T2B, (4,), True),
+    }
+    for name, p in LONG_LISTS.items():
+        v = is_fibered(p)
+        assert (v.status, v.subcase, detectably_ribbon_reduce(p),
+                is_detectably_ribbon(p)) == expected[name], name
+    v = analyze(LONG_LISTS["alternating_2601"])
+    assert (v.fibered.status, v.detectably_ribbon, v.status, v.reason) == \
+        (FiberStatus.FIBERED, False, Status.NOT_SLICE, "determinant")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pretzel import (FiberStatus, Kind, NotAKnotError, Subcase, aux_link,
+from pretzel import (FiberStatus, FiberVerdict, Kind, NotAKnotError,
+                     Subcase, analyze, aux_link, class_fiberable,
                      classify_type, fiber_subcase, is_fibered, knot_classes,
                      mirror, normalize)
 from pretzel.fibered import (even_last_orientations, is_alternating_model,
@@ -16,6 +18,7 @@ from conftest import random_knot_params
 from fiber_scan_oracle import (alternating_model_by_scan,
                                arbitrary_tail_model_by_scan,
                                distinct_orderings,
+                               even_last_orientations_by_scan,
                                extra_minus_two_model_by_scan)
 
 
@@ -50,6 +53,21 @@ def test_even_last_orientations():
     # both reading directions when reversal also lands the even entry last
     assert even_last_orientations((3, -7, 5, -5, 8)) == \
         [(3, -7, 5, -5, 8), (-5, 5, -7, 3, 8)]
+    # several even entries (a link): the last entry if even, else the first
+    assert even_last_orientations((2, 3, 4, 5)) == \
+        [(3, 4, 5, 2), (5, 4, 3, 2)]
+    assert even_last_orientations((1, 3, -5)) == []
+
+
+def test_even_last_orientations_equal_their_scan():
+    """The rotation read off an index equals the oracle's rotation by rotation
+    scan on all 335,922 lists of length 1-7 over {±1, ±3, 2, 4}: knots and
+    links, with no, one or several even entries, unitaries dropped."""
+    lists = [p for n in range(1, 8)
+             for p in itertools.product((1, -1, 3, -3, 2, 4), repeat=n)]
+    assert len(lists) == 335922
+    assert [p for p in lists if even_last_orientations(p) !=
+            even_last_orientations_by_scan(p)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +99,47 @@ def test_extra_minus_two_model():
     assert not matches_extra_minus_two_model((2, 2, -2, -2, 2))
 
 
+def _near_model_words(rng, count):
+    """Seeded random words of length 9-25.  Four in five are an alternating
+    cycle with up to three entries negated or replaced by 4, then rotated,
+    reversed or negated, so that every model occurs; the rest are uniform
+    over {2, -2, 4}."""
+    words = []
+    for _ in range(count):
+        n = rng.randint(9, 25)
+        if rng.random() < 0.2:
+            words.append(tuple(rng.choice((2, -2, 4)) for _ in range(n)))
+            continue
+        w = [2 * (-1) ** i for i in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, 3)):
+            w[i] = rng.choice((-w[i], 4))
+        r, sign = rng.randrange(n), rng.choice((1, -1))
+        w = w[r:] + w[:r]
+        words.append(tuple(sign * x for x in rng.choice((w, w[::-1]))))
+    return words
+
+
 def test_models_equal_their_scans():
     """Each model function equals its oracle, which tries every rotation,
     reversal and negation of the word, on all 9,841 words of length 0-8
     over {2, -2, 4}.  These words are enough.  4 stands for every entry
-    other than ±2: both versions only compare such an entry with ±2
-    entries or test |x| = 2, so any other value gives the same answers.
-    Length 8 is enough for the 8-strand acceptance bound: the auxiliary
-    link of a knot of at most 8 strands has at most 8 entries."""
+    other than ±2: one such entry can only be the model's tail in both
+    versions, whatever its value, and two or more such entries fail every
+    model in both versions.  Length 8 is enough for the 8-strand
+    acceptance bound: the auxiliary link of a knot of at most 8 strands
+    has at most 8 entries.  1,500 seeded random words of length 9-25
+    check longer words as well."""
     words = [w for n in range(9)
              for w in itertools.product((2, -2, 4), repeat=n)]
     assert len(words) == 9841
+    long_words = _near_model_words(random.Random(3031), 1500)
     pairs = ((is_alternating_model, alternating_model_by_scan),
              (matches_arbitrary_tail_model, arbitrary_tail_model_by_scan),
              (matches_extra_minus_two_model, extra_minus_two_model_by_scan))
     for model, scan in pairs:
-        assert [w for w in words if model(w) != scan(w)] == [], model
+        assert any(map(scan, long_words)), scan
+        assert [w for w in words + long_words if model(w) != scan(w)] == [], \
+            model
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +152,20 @@ def test_type1_examples():
     assert fib((1, 1, 1)) is FiberStatus.FIBERED        # torus knot
     assert fib((-3, -3, -3)) is FiberStatus.NOT_FIBERED  # no unitary entry
     assert fib((1, 1, 5, -3, -3)) is FiberStatus.NOT_FIBERED
+
+
+@pytest.mark.parametrize("params, subcase", [
+    ((1,), Subcase.T1), ((3,), Subcase.T1), ((-3,), Subcase.T1),
+    ((5,), Subcase.T1), ((2,), Subcase.T2B), ((4,), Subcase.T2B),
+    ((1, -1, 3), Subcase.T1)])
+def test_one_strand_is_the_unknot_and_fibered(params, subcase):
+    # P(p) closes one twist region by the pretzel arcs: every crossing is
+    # nugatory, so it is the unknot (det 1, sigma 0), which is fibered
+    assert is_fibered(params) == FiberVerdict(FiberStatus.FIBERED, subcase)
+    assert class_fiberable(params) == (True, subcase)
+    v = analyze(params)
+    assert v.fibered == FiberVerdict(FiberStatus.FIBERED, subcase)
+    assert (v.obstructions.det_value, v.obstructions.signature) == (1, 0)
 
 
 def test_headline_mutant_quartet():
@@ -207,7 +264,6 @@ def test_links_get_not_a_knot():
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=120, deadline=None)
 def test_mirror_invariance(seed):
-    import random
     p = random_knot_params(random.Random(seed))
     assert is_fibered(p) == is_fibered(mirror(p))
 
@@ -215,7 +271,6 @@ def test_mirror_invariance(seed):
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=120, deadline=None)
 def test_rotation_and_reversal_invariance(seed):
-    import random
     rng = random.Random(seed)
     p = random_knot_params(rng)
     q = normalize(p)

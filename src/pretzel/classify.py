@@ -53,7 +53,7 @@ from .fibered import (FiberStatus, FiberVerdict, Subcase, _class_fiberable,
                       _decide)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
                       find_embedding, graph_signature)
-from .plumbing import _graph_and_determinant
+from .plumbing import _graph_and_determinant, _leg_ranges
 
 
 class Status(Enum):
@@ -287,14 +287,31 @@ def _donaldson(g, node_limit, cache):
     """Embedding search on the negative definite graph g, memoized under
     its center weight and sorted legs, which mutants and mirrors share.
     Only decided results are stored: a search that stopped at a node limit
-    must run again for a caller with a higher limit or none."""
+    must run again for a caller with a higher limit or none.  A witness is
+    stored as one for the key's graph, StarGraph(*key), and handed back in
+    g's vertex order; both are row permutations of M."""
+    if cache is None:
+        return find_embedding(g, SearchConfig(node_limit=node_limit))
     key = (g.center_weight, tuple(sorted(g.legs)))
-    if cache is not None and key in cache:
-        return cache[key]
+    order = _key_order(g)   # row i of the key's graph is vertex order[i]
+    res = cache.get(key)
+    if res is not None:
+        rows = res.witness and tuple(
+            r for _, r in sorted(zip(order, res.witness)))
+        return EmbeddingResult(res.status, rows, res.nodes)
     res = find_embedding(g, SearchConfig(node_limit=node_limit))
-    if cache is not None and res.status is not DonaldsonStatus.INCONCLUSIVE:
-        cache[key] = res
+    if res.status is not DonaldsonStatus.INCONCLUSIVE:
+        rows = res.witness and tuple(res.witness[v] for v in order)
+        cache[key] = EmbeddingResult(res.status, rows, res.nodes)
     return res
+
+
+def _key_order(g):
+    """The vertices of g in the order of its cache key's graph: the centre,
+    then the legs sorted by their weights, each from the centre out."""
+    ranges = _leg_ranges(g)
+    legs = sorted(range(len(ranges)), key=g.legs.__getitem__)
+    return [0, *itertools.chain.from_iterable(ranges[i] for i in legs)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ link where a knot is required, a parameter too large to build
 its graph (|q| > sys.maxsize, or a negative definite graph of rank above
 plumbing.MAX_GRAPH_RANK = 4000, refused while the graph is built, before
 the leg past the bound is allocated), unwritable output, bad or unreadable
-cache file, bad cache directory, enumeration bounds too small, node limit or
---jobs not a positive integer), 3 = search gave up at the node limit.
+cache file (a witness that does not embed its key's graph included), bad
+cache directory, enumeration bounds too small, node limit or --jobs not a
+positive integer), 3 = search gave up at the node limit.
 One node-limit rule: --node-limit (default PRETZELC_NODE_LIMIT, else no
 limit) caps the search the same way in analyze, embed and enumerate, at any
 rank.
@@ -48,8 +49,8 @@ from collections import ChainMap, Counter
 from .core import classify_type, parse_params
 from .classify import Status, analyze, class_record, knot_classes
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
-                      find_embedding, wu_vertices)
-from .plumbing import negative_definite_graph, to_dot
+                      find_embedding, verify_embedding, wu_vertices)
+from .plumbing import StarGraph, negative_definite_graph, to_dot
 
 
 class _InputError(Exception):
@@ -257,7 +258,9 @@ def _int_rows(value):
 
 def _load_cache(directory):
     """Cached search results; an input error when the cache file cannot
-    be opened or has a malformed line."""
+    be opened or has a malformed line.  An embeddable entry's witness must
+    embed its key's graph, StarGraph(center, legs): a cache written before
+    witnesses were stored in that order is refused."""
     cache = {}
     path = _cache_path(directory)
     if not os.path.exists(path):
@@ -278,6 +281,9 @@ def _load_cache(directory):
                 if (res.status is DonaldsonStatus.EMBEDDABLE) != bool(witness):
                     raise ValueError("a witness belongs to exactly the "
                                      "embeddable entries")
+                if witness and not verify_embedding(StarGraph(*key), witness):
+                    raise ValueError("the witness does not embed the graph "
+                                     "of its key")
             except (ValueError, KeyError, TypeError) as exc:
                 raise _InputError("bad cache file %s line %d: %s"
                                   % (path, n, exc))

@@ -27,8 +27,9 @@ so each leg is settled by trying both values of its outer bit; each trial
 forces a centre bit, and the centre's own congruence picks the one
 consistent choice (it is unique iff det Q is odd).  The Wu set of a star
 graph has no edges (see the Wu prune below), so Q(w,w) is the sum of the
-weights of the Wu vertices.  wu_class keeps the dense GF(2) elimination,
-for matrix inputs, and is the test oracle for the walk.
+weights of the Wu vertices.  wu_class keeps the GF(2) elimination, on
+bitmask rows read off the sparse Q below, for matrix inputs, and is the
+test oracle for the walk.
 
 Search pruning.  The basis symmetry of the diagonal lattice (signed column
 permutations) is broken in two layers:
@@ -82,9 +83,18 @@ so a loose bound costs time, never a candidate.  The interval is solved
 only while a value is left after a, so the rows of norm 2 and 3, which try
 one value of each sign at a column, pay nothing for it.  A value that takes the whole
 norm left goes on only when every gap is 0, since the rest of the row is
-then zeros.  The positive answers are checked entrywise (verify_embedding
-sums -M M^T over each column's nonzeros), and |det Q| is asserted to be a
-square, taken from the leaf-to-centre pass for star graphs.
+then zeros.  The positive answers are checked entrywise: verify_embedding
+sums -M M^T over each column's nonzeros into one dict per row and compares
+it with the sparse Q, leaving out zero entries on both sides.  |det Q| is
+asserted to be a square, taken from the leaf-to-centre pass for star
+graphs.
+
+Q is read in one sparse form, one dict {column: entry} per row holding the
+diagonal and the nonzeros off it (_rows_of): plumbing._entries for a star
+graph, 3k - 2 entries in all (k weights, two per edge), else the rows of a
+matrix input.  The norms, each row's needs, the Wu independence test,
+wu_class and the check all read it, so no k x k matrix is built from a
+star graph; the witness of an EMBEDDABLE answer is the one k x k object.
 
 When sigma = 0 and no two Wu vertices are adjacent, an extra Wu prune
 applies.  The embedded Wu class is characteristic in the diagonal lattice
@@ -125,7 +135,9 @@ it opened.  Rows are taken back in stack order, so a generator resumes on
 the state it started from.  A row's generator reads the used columns off
 the support, and computes its gaps and, in one pass over the keys, the
 previous column of each column's group; the module-level generators
-_fill_used/_fill_fresh run on that state.
+_fill_used/_fill_fresh run on that state.  A suspended row keeps its
+candidate vector of length k, its gaps and that previous-column list; the
+dict that built the list is freed before the first candidate.
 Agreement with the exhaustive oracle of tests/embedding_oracle.py is tested
 on small and random graphs.
 """
@@ -137,9 +149,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, compress
 
-from .plumbing import (StarGraph, _eliminate_leaves, _leg_ranges,
-                       bareiss_determinant, incidence_matrix,
-                       negative_definite_graph)
+from .plumbing import (StarGraph, _eliminate_leaves, _entries, _leg_ranges,
+                       bareiss_determinant, negative_definite_graph)
 
 
 class SingularMod2Error(ArithmeticError):
@@ -153,11 +164,11 @@ class SingularMod2Error(ArithmeticError):
 def wu_class(g_or_matrix) -> tuple[int, ...]:
     """The unique 0/1 solution of Q(w, x) = Q(x, x) mod 2, by elimination
     over GF(2).  Raises SingularMod2Error when det Q is even."""
-    q = _matrix_of(g_or_matrix)
+    q = _rows_of(g_or_matrix)
     k = len(q)
     # rows as bitmasks, bit k holds the right-hand side (diagonal parity)
-    rows = [sum((q[i][j] & 1) << j for j in range(k)) | (q[i][i] & 1) << k
-            for i in range(k)]
+    rows = [sum((e & 1) << j for j, e in r.items()) | (r[i] & 1) << k
+            for i, r in enumerate(q)]
     pivots = {}
     for row in rows:
         for col in range(k):
@@ -285,13 +296,17 @@ class SearchConfig:
             raise ValueError("node_limit must be positive")
 
 
-def _matrix_of(g_or_matrix):
+def _rows_of(g_or_matrix):
+    """Q in sparse form, one dict {column: entry} per row holding the
+    diagonal and the nonzeros off it: plumbing._entries for a star graph,
+    else the rows of a matrix input, which must be square and symmetric."""
     if isinstance(g_or_matrix, StarGraph):
-        return incidence_matrix(g_or_matrix)
+        return _entries(g_or_matrix)
     q = [list(r) for r in g_or_matrix]
     if any(len(r) != len(q) for r in q) or q != [list(c) for c in zip(*q)]:
         raise ValueError("Q must be a square symmetric matrix")
-    return q
+    return [{j: e for j, e in enumerate(r) if e or j == i}
+            for i, r in enumerate(q)]
 
 
 def _fill_fresh(vec, remaining, cap, col):
@@ -387,9 +402,9 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     unimodular lattice).
     """
     cfg = config or SearchConfig()
-    q = _matrix_of(g_or_matrix)
+    q = _rows_of(g_or_matrix)
     k = len(q)
-    norms = [-q[i][i] for i in range(k)]
+    norms = [-r[i] for i, r in enumerate(q)]
     if any(n <= 0 for n in norms):
         raise ValueError("graph is not negative definite")
 
@@ -400,7 +415,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
     # the Wu prune needs an independent Wu set and sigma = 0, which on it
     # reads Q(w,w) = -(the sum of the Wu norms) = -k
     if not (cfg.wu_pruning and sum(norms[v] for v in wu) == k and
-            not any(q[a][b] for a, b in combinations(wu, 2))):
+            not any(q[a].get(b) for a, b in combinations(wu, 2))):
         wu = ()
 
     # the search order (module docstring)
@@ -432,7 +447,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
             return
         qv = q[order[s]]
         # need - partial pairing with each placed row, before column 0
-        gap = [-qv[order[t]] for t in range(s)]
+        gap = [-qv.get(order[t], 0) for t in range(s)]
         # Columns with the same entries in every placed row are
         # interchangeable; a candidate's entries must be non-increasing
         # along each such group.
@@ -441,6 +456,7 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         for c, kc in zip(columns, key):
             prev_in_group.append(last_seen.get(kc, -1))
             last_seen[kc] = c
+        del last_seen   # the largest object a suspended row would keep
         yield from _fill_used([0] * k, gap, support, prev_in_group, 0, n)
 
     # one candidate generator per placed row and one for the next row (the
@@ -486,12 +502,12 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
         for c, e in nz:
             witness[v][c] = e
     witness = tuple(map(tuple, witness))
-    if not verify_embedding(q, witness):
+    if not verify_embedding(g_or_matrix, witness):
         raise AssertionError("search produced an invalid embedding")
     if isinstance(g_or_matrix, StarGraph):
         det = abs(_eliminate_leaves(g_or_matrix)[0])
     else:
-        det = abs(bareiss_determinant(q))
+        det = abs(bareiss_determinant(g_or_matrix))
     if math.isqrt(det) ** 2 != det:
         raise AssertionError("embedding found but |det Q| = %d is not a "
                              "perfect square" % det)
@@ -501,19 +517,22 @@ def find_embedding(g_or_matrix, config: SearchConfig | None = None) -> Embedding
 def verify_embedding(g_or_matrix, witness) -> bool:
     """True iff the witness is k rows of length k and -M M^T equals Q
     entrywise.  -M M^T is summed column by column over the nonzero
-    entries, in O(k^2 + sum over columns of nnz^2)."""
-    q = _matrix_of(g_or_matrix)
+    entries into one dict per row, in O(k^2 + sum over columns of nnz^2),
+    and compared with the sparse Q, zero entries left out on both sides."""
+    q = _rows_of(g_or_matrix)
     k = len(q)
     if len(witness) != k or any(len(row) != k for row in witness):
         return False
-    gram = [[0] * k for _ in range(k)]
+    gram = [{} for _ in range(k)]
     for col in zip(*witness):
         nonzero = [(i, e) for i, e in enumerate(col) if e]
         for i, a in nonzero:
             row = gram[i]
             for j, b in nonzero:
-                row[j] -= a * b
-    return gram == q
+                row[j] = row.get(j, 0) - a * b
+    return all({j: e for j, e in got.items() if e} ==
+               {j: e for j, e in want.items() if e}
+               for got, want in zip(gram, q))
 
 
 @dataclass(frozen=True)

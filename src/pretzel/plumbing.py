@@ -41,16 +41,19 @@ tails (_eliminate_leaves), one O(rank) pass of integer arithmetic.  A
 class needs two such passes: the pass over the star graph gives the knot
 determinant |det| and the sign of e(Y) (which decides the mirror), and the
 pass over the reduced graph checks that it is negative definite
-(_require_negative_definite).  The dense routines (incidence_matrix,
-bareiss_determinant, is_negative_definite) stay for matrix inputs and as
-test oracles for this pass.
+(_require_negative_definite).  The dense routines (bareiss_determinant,
+is_negative_definite) stay for matrix inputs and as test oracles for this
+pass.
 
 The construction is the one place that knows the graph's shape: the
 reduction rule, the mirror decision and the rank bound MAX_GRAPH_RANK,
 checked as the legs are built so that a leg past the bound is never
 allocated.  _leg_ranges numbers the vertices (centre 0, then each leg from
-the centre out) for the incidence matrix, the DOT text, and lattice's Wu
-set and search order.
+the centre out) for lattice's Wu set and search order.  _entries is the
+one reader of the edges: the sparse form of Q, one dict {vertex: entry}
+per vertex, which the DOT text and lattice's search and checks read.  No
+production path builds a dense matrix from a star graph; incidence_matrix
+is a public helper and a test oracle only.
 
 All arithmetic is exact (big integers and fractions); nothing here touches
 floating point.
@@ -65,8 +68,8 @@ from .core import NotAKnotError, as_params, classify_type, nonunitary, \
     unitary_count_and_sign
 
 # Graphs above this rank are refused while they are built.  Building and
-# printing one is O(rank); the search reads a dense rank x rank matrix,
-# 16 million entries at 4,000.
+# printing one is O(rank); an embedding witness is a dense rank x rank
+# matrix, 16 million entries at 4,000.
 MAX_GRAPH_RANK = 4000
 
 
@@ -201,16 +204,22 @@ def incidence_matrix(g: StarGraph) -> list[list[int]]:
     """Symmetric incidence matrix: diagonal weights, 1 per edge.
 
     Vertex order: center first, then each leg in order, chains listed from
-    the center outward.
+    the center outward.  A public helper and test oracle; the package
+    reads the graph through _entries.
     """
-    k = g.rank
-    m = [[0] * k for _ in range(k)]
-    m[0][0] = g.center_weight
+    return [[row.get(u, 0) for u in range(g.rank)] for row in _entries(g)]
+
+
+def _entries(g: StarGraph) -> list[dict[int, int]]:
+    """The sparse form of the graph's Q: one dict per vertex, in
+    incidence-matrix order, holding {vertex: entry} for its diagonal
+    weight and a 1 for each edge.  The one reader of the edges."""
+    rows = [{0: g.center_weight}]
     for leg, vs in zip(g.legs, _leg_ranges(g)):
         for prev, v, w in zip((0, *vs), vs, leg):
-            m[v][v] = w
-            m[v][prev] = m[prev][v] = 1
-    return m
+            rows.append({v: w, prev: 1})
+            rows[prev][v] = 1
+    return rows
 
 
 def _leg_ranges(g: StarGraph) -> list[range]:
@@ -283,13 +292,10 @@ def to_dot(g: StarGraph, wu_vertices=()) -> str:
     """DOT rendering of a star graph.  The center is marked and the Wu-set
     vertices carry a highlight attribute."""
     wu = set(wu_vertices)
-    vertices, edges = [(0, g.center_weight)], []
-    for leg, vs in zip(g.legs, _leg_ranges(g)):
-        vertices.extend(zip(vs, leg))
-        edges.extend(zip((0, *vs), vs))
+    rows = _entries(g)
     lines = ["graph pretzel {"]
-    for i, w in vertices:
-        attrs = ['label="%d"' % w]
+    for i, row in enumerate(rows):
+        attrs = ['label="%d"' % row[i]]
         if i == 0:
             attrs.append("shape=doublecircle")
             attrs.append('center="true"')
@@ -299,6 +305,8 @@ def to_dot(g: StarGraph, wu_vertices=()) -> str:
             attrs.append('fillcolor="lightpink"')
             attrs.append('wu="true"')
         lines.append("  v%d [%s];" % (i, ", ".join(attrs)))
-    lines.extend("  v%d -- v%d;" % edge for edge in edges)
+    # each vertex but the centre has one neighbour before it
+    lines.extend("  v%d -- v%d;" % (u, v)
+                 for v, row in enumerate(rows) for u in row if u < v)
     lines.append("}")
     return "\n".join(lines)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pretzel import (DonaldsonStatus, FiberStatus, Kind, Status, Subcase,
-                     analyze, class_fiberable, detectably_ribbon_reduce,
-                     enumerate_classes, is_detectably_ribbon, is_exceptional,
-                     is_fibered, knot_classes, match_family, mirror,
-                     mutation_class, normalize)
+from pretzel import (DonaldsonStatus, FiberStatus, Kind, StarGraph, Status,
+                     Subcase, analyze, class_fiberable,
+                     detectably_ribbon_reduce, enumerate_classes,
+                     is_detectably_ribbon, is_exceptional, is_fibered,
+                     knot_classes, match_family, mirror, mutation_class,
+                     normalize, verify_embedding)
 import pretzel.classify
 import pretzel.fibered
 import pretzel.plumbing
@@ -258,6 +259,22 @@ def test_analyze_honest_on_resolved_cousin_of_exceptional_family():
 def test_analyze_inconclusive_with_node_limit():
     v = analyze((3, 5, -3, -5, 7), node_limit=2)
     assert v.status is Status.INCONCLUSIVE
+
+
+def test_cached_witness_follows_the_key_and_each_caller():
+    # mutants share a cache key but not the leg order of their graphs: the
+    # stored witness embeds the key's graph, and each caller, the searching
+    # one and a later hit, gets one that embeds its own graph
+    cache = {}
+    key = (-2, ((-3,), (-2, -2), (-2, -2, -2)))
+    for legs in ((key[1][2], key[1][0], key[1][1]),
+                 (key[1][1], key[1][2], key[1][0])):
+        g = StarGraph(key[0], legs)
+        res = pretzel.classify._donaldson(g, None, cache)
+        assert res.status is DonaldsonStatus.EMBEDDABLE
+        assert verify_embedding(g, res.witness)
+        assert list(cache) == [key]
+        assert verify_embedding(StarGraph(*key), cache[key].witness)
 
 
 def test_shared_cache_keeps_no_inconclusive():

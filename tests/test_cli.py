@@ -11,8 +11,8 @@ import pretzel.classify
 import pretzel.plumbing
 from pretzel.cli import CSV_HEADER, main, record_to_json
 from pretzel.plumbing import MAX_GRAPH_RANK
-from pretzel import (analyze, incidence_matrix, negative_definite_graph,
-                     wu_vertices)
+from pretzel import (StarGraph, analyze, incidence_matrix,
+                     negative_definite_graph, verify_embedding, wu_vertices)
 
 from conftest import random_knot_params
 
@@ -370,20 +370,27 @@ def test_graph_highlights_the_dense_wu_set(capsys, rng):
 
 
 def test_graph_builds_no_matrix(capsys, monkeypatch):
-    # the Wu set of a star graph comes from the leg walk, so a rank-2,004
-    # graph needs no k x k matrix
+    # a star graph is read through its sparse form (plumbing._entries): the
+    # Wu set comes from the leg walk, and neither the DOT text of a
+    # rank-2,004 graph nor the search and its check build a k x k matrix
     def refuse(*args):
         raise AssertionError("dense routine called")
     for name in ("pretzel.plumbing.incidence_matrix",
-                 "pretzel.lattice.incidence_matrix",
                  "pretzel.lattice.wu_class"):
         monkeypatch.setattr(name, refuse)
+    # a name bound at import would get round the refusal
+    assert "incidence_matrix" not in vars(pretzel.lattice)
     assert main(["graph", "2001,3,-5"]) == 0
     out = capsys.readouterr().out
     _check_dot(out)
     # the centre, every second vertex of the 2,000-vertex leg, the outer
     # vertex of the 2-vertex leg
     assert _wu_of_dot(out) == (0, *range(2, 2001, 2), 2002)
+    assert main(["embed", "201,-201,2", "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["status"] == "embeddable"
+    g = negative_definite_graph((201, -201, 2))
+    assert g.rank == 203 and verify_embedding(g, rec["witness"])
 
 
 def test_graph_link_exit_2(capsys):
@@ -464,6 +471,22 @@ def test_enumerate_cache_same_for_any_jobs(tmp_path):
     assert all(outputs[0]) and outputs == [outputs[0]] * 4
 
 
+def test_enumerate_cache_witnesses_embed_their_keys(tmp_path, capsys):
+    # a witness is written for the graph its key names, StarGraph(center,
+    # legs), whatever the leg order of the graph that was searched
+    cache = tmp_path / "cache"
+    assert main(["enumerate", "--max-strands", "5", "--max-param", "4",
+                 "--cache", str(cache), "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    entries = [json.loads(line) for line in
+               (cache / "donaldson-cache.jsonl").read_text().splitlines()]
+    embeddable = [e for e in entries if e["status"] == "embeddable"]
+    assert len(embeddable) == 14
+    for e in embeddable:
+        g = StarGraph(e["center"], tuple(map(tuple, e["legs"])))
+        assert verify_embedding(g, e["witness"]), e
+
+
 def test_enumerate_truncated_cache_exit_2(tmp_path):
     cache = tmp_path / "cache"
     args = ("enumerate", "--max-strands", "4", "--max-param", "3",
@@ -510,6 +533,30 @@ BAD_CACHE_FIELDS = [
 
 @pytest.mark.parametrize("field, value", BAD_CACHE_FIELDS)
 def test_enumerate_cache_bad_field_exit_2(field, value, tmp_path, capsys):
+    _refuse_edited_cache(lambda entry: entry.update({field: value}),
+                         tmp_path, capsys)
+
+
+# a witness of the right shape and integers that does not embed the key's
+# graph: one entry off by one (which moves a norm), or the centre row moved
+# to another vertex
+WRONG_WITNESSES = {
+    "entry off by one": lambda w: [[w[0][0] + 1, *w[0][1:]], *w[1:]],
+    "rows swapped": lambda w: [w[1], w[0], *w[2:]],
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_WITNESSES)
+def test_enumerate_cache_wrong_witness_exit_2(wrong, tmp_path, capsys):
+    edit = WRONG_WITNESSES[wrong]
+    _refuse_edited_cache(
+        lambda entry: entry.update(witness=edit(entry["witness"])),
+        tmp_path, capsys)
+
+
+def _refuse_edited_cache(edit, tmp_path, capsys):
+    """Write a cache, apply edit to its first embeddable entry, and check
+    that the next run refuses that line with exit 2 and no report."""
     cache = tmp_path / "cache"
     args = ["enumerate", "--max-strands", "3", "--max-param", "3",
             "--format", "jsonl", "--cache", str(cache)]
@@ -519,7 +566,7 @@ def test_enumerate_cache_bad_field_exit_2(field, value, tmp_path, capsys):
     entries = [json.loads(line) for line in path.read_text().splitlines()]
     n = next(i for i, e in enumerate(entries, 1)
              if e["status"] == "embeddable")
-    entries[n - 1][field] = value
+    edit(entries[n - 1])
     path.write_text("".join(json.dumps(e) + "\n" for e in entries))
     out = tmp_path / "b.jsonl"
     assert main(args + ["--out", str(out)]) == 2

@@ -549,6 +549,40 @@ def test_verify_embedding_matches_dense_oracle_on_random_inputs():
         assert not dense_verify_embedding(q, bad)
 
 
+def test_sparse_verify_matches_dense_oracle_on_star_graphs():
+    # the sparse check compares -M M^T with plumbing's sparse Q, zero
+    # entries left out on both sides; the oracle compares every entry
+    rng = random.Random(33)
+    outcomes = set()
+    found = 0
+    while found < 40:
+        legs = tuple(tuple(rng.choice((-2, -2, -3, -4))
+                           for _ in range(rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 4)))
+        g = StarGraph(rng.randint(-5, -1), legs)
+        res = find_embedding(g, SearchConfig(node_limit=500))
+        if not res:
+            continue
+        found += 1
+        m = [list(r) for r in res.witness]
+        assert verify_embedding(g, m) and dense_verify_embedding(g, m)
+        flipped = [list(r) for r in m]
+        i, c = rng.choice([(i, c) for i, r in enumerate(m)
+                           for c, e in enumerate(r) if e])
+        flipped[i][c] = -flipped[i][c]
+        swapped = [list(r) for r in m]
+        if g.rank > 1:
+            i, j = rng.sample(range(g.rank), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+        for bad in (flipped, swapped):
+            outcomes.add(verify_embedding(g, bad))
+            assert verify_embedding(g, bad) == dense_verify_embedding(g, bad)
+    assert outcomes == {False, True}
+    # Q = (0): the diagonal 0 is a zero entry the sparse check leaves out
+    g = StarGraph(0, ())
+    assert verify_embedding(g, ((0,),)) and dense_verify_embedding(g, ((0,),))
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence (standalone exhaustive oracle) and Wu-pruning consistency
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from pretzel import (NotAKnotError, PlumbingError, analyze,
                      bareiss_determinant, determinant, euler_number,
                      incidence_matrix, is_negative_definite, mirror,
-                     negative_definite_graph, normalize, star_graph, to_dot)
+                     negative_definite_graph, normalize, star_graph, to_dot,
+                     wu_vertices)
 from pretzel import plumbing
 from pretzel.plumbing import (MAX_GRAPH_RANK, StarGraph, _eliminate_leaves,
                               _graph_and_determinant,
@@ -254,6 +256,32 @@ def test_dot_export():
     assert 'label="-4"' in dot and "doublecircle" in dot
     assert dot.count('wu="true"') == 1
     assert dot.count(" -- ") == 3
+
+
+# sha256 of the DOT text of each knot's graph, its Wu set highlighted
+DOT_BYTES = {
+    (1, 1, 1, 1, -3, -3, -3):
+        "da75ba2ab66d9b904e5f4f80ebe3e24c38e7fd553f9af2da69ab7a8206094abd",
+    (3, -5, -8):
+        "289600785a803c2bfd659f6a3cbbfca58c549dad7c25a2c35f6302ab450c4569",
+    (2001, 3, -5):
+        "9c12756f4141a71d506ba4c663d2366673586a965532746f04389901fa601af5",
+    (-7, 5, 4, 9, -3):
+        "1af8edb0e4afd400faafac5183b06bb6458b03b40f8e024b717580b55376c93f",
+}
+
+
+def test_dot_bytes_pinned():
+    def digest(g, wu=()):
+        return hashlib.sha256(to_dot(g, wu).encode()).hexdigest()
+    for params, want in DOT_BYTES.items():
+        g = negative_definite_graph(params)
+        assert digest(g, wu_vertices(g)) == want, params
+    assert digest(StarGraph(-3, ())) == \
+        "d1d39b5144b10ab541a9e1edfd3df2a58ae404456b8a886367ee865347f61e34"
+    # an empty leg, and the Wu highlight passed by hand
+    assert digest(StarGraph(-1, ((-2, -3), (), (-5,))), (0, 2)) == \
+        "1722e964c2d12cb2e023c9db4e1914d1fc89c4bbbfb08ec3b5d5cc01a3b33899"
 
 
 @pytest.mark.parametrize("params", [(2**61 + 1, 3, 5), (3, 3, 3997)])

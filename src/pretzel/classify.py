@@ -38,13 +38,25 @@ fiberedness of that ordering and the adjacent-pair ribbon move.
 class_record() runs the class pipeline once per class and computes
 class-level fiberedness only (is some ordering fibered?), so it needs
 neither of the ordered verdicts.
+
+This module owns the Donaldson cache that enumerate --cache keeps between
+runs: the key (centre weight and sorted legs, shared by mutants and
+mirrors), the order of a witness's rows (_key_order), the rule that only
+decided searches are kept (_remember), and the file, donaldson-cache.jsonl,
+one JSON line per entry (_cache_line), sorted, saved whole by a rename.
+Each line read is checked (_cache_entry): its fields have their types, a
+witness comes with exactly the embeddable entries and embeds its key's
+graph, and a not_embeddable key is a graph the search runs on, with no
+empty leg, negative definite, of square |det| and signature 0.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,8 +64,9 @@ from .core import Kind, MutationClass, as_params, classify_type, normalize
 from .fibered import (FiberStatus, FiberVerdict, Subcase, _class_fiberable,
                       _decide)
 from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
-                      find_embedding, graph_signature)
-from .plumbing import _graph_and_determinant, _leg_ranges
+                      find_embedding, graph_signature, verify_embedding)
+from .plumbing import (StarGraph, _eliminate_leaves, _graph_and_determinant,
+                       _leg_ranges)
 
 
 class Status(Enum):
@@ -285,11 +298,10 @@ def _class_facts(ms, kind, node_limit, cache):
 
 def _donaldson(g, node_limit, cache):
     """Embedding search on the negative definite graph g, memoized under
-    its center weight and sorted legs, which mutants and mirrors share.
-    Only decided results are stored: a search that stopped at a node limit
-    must run again for a caller with a higher limit or none.  A witness is
-    stored as one for the key's graph, StarGraph(*key), and handed back in
-    g's vertex order; both are row permutations of M."""
+    its center weight and sorted legs, which mutants and mirrors share
+    (_remember keeps decided results only).  A witness is stored as one
+    for the key's graph, StarGraph(*key), and handed back in g's vertex
+    order; both are row permutations of M."""
     if cache is None:
         return find_embedding(g, SearchConfig(node_limit=node_limit))
     key = (g.center_weight, tuple(sorted(g.legs)))
@@ -300,9 +312,8 @@ def _donaldson(g, node_limit, cache):
             r for _, r in sorted(zip(order, res.witness)))
         return EmbeddingResult(res.status, rows, res.nodes)
     res = find_embedding(g, SearchConfig(node_limit=node_limit))
-    if res.status is not DonaldsonStatus.INCONCLUSIVE:
-        rows = res.witness and tuple(res.witness[v] for v in order)
-        cache[key] = EmbeddingResult(res.status, rows, res.nodes)
+    rows = res.witness and tuple(res.witness[v] for v in order)
+    _remember(cache, key, EmbeddingResult(res.status, rows, res.nodes))
     return res
 
 
@@ -312,6 +323,104 @@ def _key_order(g):
     ranges = _leg_ranges(g)
     legs = sorted(range(len(ranges)), key=g.legs.__getitem__)
     return [0, *itertools.chain.from_iterable(ranges[i] for i in legs)]
+
+
+def _remember(cache, key, res):
+    """Store a decided result only: a search that stopped at a node limit
+    must run again for a caller with a higher limit or none."""
+    if res.status is not DonaldsonStatus.INCONCLUSIVE:
+        cache[key] = res
+
+
+# ---------------------------------------------------------------------------
+# the Donaldson cache file: one JSON line per entry, sorted by key
+
+def _cache_path(directory):
+    """The cache file of a cache directory."""
+    return os.path.join(directory, "donaldson-cache.jsonl")
+
+
+def _cache_line(key, res) -> str:
+    """The line of the cache file, without its newline, that holds the
+    entry key: res."""
+    witness = res.witness and list(map(list, res.witness))
+    return json.dumps({"center": key[0], "legs": list(map(list, key[1])),
+                       "status": res.status.value, "witness": witness or None,
+                       "nodes": res.nodes}, sort_keys=True)
+
+
+def _cache_entry(line):
+    """The entry (key, result) of one line of a cache file, checked.  A
+    line the package could not have written raises ValueError, KeyError,
+    TypeError, ArithmeticError or RecursionError (a nesting too deep to
+    decode).  A witness belongs to exactly the embeddable entries and must
+    embed its key's graph; a not_embeddable key must be a graph the
+    search runs on (_searchable)."""
+    obj = json.loads(line)
+    key = (_int(obj["center"]), _int_rows(obj["legs"]))
+    rows = obj["witness"]
+    witness = None if rows is None else _int_rows(rows)
+    res = EmbeddingResult(DonaldsonStatus(obj["status"]), witness or None,
+                          _int(obj["nodes"]))
+    if (res.status is DonaldsonStatus.EMBEDDABLE) != bool(witness):
+        raise ValueError("a witness belongs to exactly the embeddable entries")
+    if witness and not verify_embedding(StarGraph(*key), witness):
+        raise ValueError("the witness does not embed the graph of its key")
+    if res.status is DonaldsonStatus.NOT_EMBEDDABLE and \
+            not _searchable(StarGraph(*key)):
+        raise ValueError("the key is not a graph the search runs on")
+    return key, res
+
+
+def _searchable(g) -> bool:
+    """Whether _class_facts could search g: no leg is empty, g is negative
+    definite, |det| is a square and the signature is 0.  O(rank)."""
+    det, _, legs_negative = _eliminate_leaves(g)
+    return all(g.legs) and legs_negative and det > 0 and \
+        math.isqrt(det) ** 2 == det and graph_signature(g) == 0
+
+
+def _int(value):
+    """value, when it is a JSON integer (not a bool); else ValueError."""
+    if type(value) is not int:
+        raise ValueError("not an integer: %.80r" % (value,))
+    return value
+
+
+def _int_rows(value):
+    """A JSON list of integer lists as a tuple of tuples; else ValueError.
+    The types of a row's entries are checked as one set, in C."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and {int}.issuperset(map(type, row))
+            for row in value):
+        raise ValueError("not a list of integer lists: %.80r" % (value,))
+    return tuple(map(tuple, value))
+
+
+def _load_cache(path) -> dict:
+    """The decided entries of the cache file at path; {} when there is
+    none.  OSError when it cannot be read, and ValueError, naming the file
+    and the line, at the first line _cache_entry refuses."""
+    cache = {}
+    if os.path.exists(path):
+        with open(path, "rb") as fh:   # json.loads decodes, inside the check
+            for n, line in enumerate(fh, 1):
+                try:
+                    _remember(cache, *_cache_entry(line))
+                except (ValueError, KeyError, TypeError, ArithmeticError,
+                        RecursionError) as exc:
+                    raise ValueError("bad cache file %s line %d: %s"
+                                     % (path, n, exc)) from None
+    return cache
+
+
+def _save_cache(path, cache):
+    """Write every entry, sorted, to a temporary file and rename it over
+    the cache file at path, so an interrupted save leaves the old file
+    whole."""
+    with open(path + ".tmp", "w") as fh:
+        fh.writelines(_cache_line(*e) + "\n" for e in sorted(cache.items()))
+    os.replace(path + ".tmp", path)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,16 @@ parameter, a parameter string that expands to more than 4,000 parameters,
 link where a knot is required, a parameter too large to build
 its graph (|q| > sys.maxsize, or a negative definite graph of rank above
 plumbing.MAX_GRAPH_RANK = 4000, refused while the graph is built, before
-the leg past the bound is allocated), unwritable output, bad or unreadable
-cache file (a witness that does not embed its key's graph included), bad
-cache directory, enumeration bounds too small, node limit or --jobs not a
+the leg past the bound is allocated), unwritable output, unreadable cache
+file or one with a bad line (classify._cache_entry's checks: not UTF-8
+JSON or nested too deep to decode, a missing or mistyped field, a witness
+on other than the embeddable entries, a witness that does not embed its
+key's graph, a not_embeddable key with an empty leg, not negative
+definite, of non-square |det| or of nonzero signature), bad cache
+directory, enumeration bounds too small, node limit or --jobs not a
 positive integer), 3 = search gave up at the node limit.
+The cache file belongs to classify; this module creates the --cache
+directory, loads and saves the file and reports what goes wrong.
 One node-limit rule: --node-limit (default PRETZELC_NODE_LIMIT, else no
 limit) caps the search the same way in analyze, embed and enumerate, at any
 rank.
@@ -47,10 +53,10 @@ import time
 from collections import ChainMap, Counter
 
 from .core import classify_type, parse_params
-from .classify import Status, analyze, class_record, knot_classes
-from .lattice import (DonaldsonStatus, EmbeddingResult, SearchConfig,
-                      find_embedding, verify_embedding, wu_vertices)
-from .plumbing import StarGraph, negative_definite_graph, to_dot
+from .classify import (Status, _cache_path, _load_cache, _save_cache,
+                       analyze, class_record, knot_classes)
+from .lattice import DonaldsonStatus, SearchConfig, find_embedding, wu_vertices
+from .plumbing import negative_definite_graph, to_dot
 
 
 class _InputError(Exception):
@@ -73,6 +79,24 @@ def _node_limit_from(args):
         raise _InputError("node limit must be a positive integer, got '%s'"
                           % text)
     return limit
+
+
+def _checked(call, cannot=None):
+    """call(), each ValueError it raises an input error with its message;
+    so is an OSError when cannot says what failed: "cannot <cannot>: ..."."""
+    try:
+        return call()
+    except ValueError as exc:
+        raise _InputError(exc)
+    except OSError as exc:
+        if cannot is None:
+            raise
+        raise _InputError("cannot %s: %s" % (cannot, exc))
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _params(text):
@@ -99,10 +123,7 @@ def _knot(text):
     input an input error.  negative_definite_graph refuses a rank above
     MAX_GRAPH_RANK before it builds the leg past it."""
     params = _params(text)
-    try:
-        return negative_definite_graph(params)
-    except ValueError as exc:
-        raise _InputError(exc)
+    return _checked(lambda: negative_definite_graph(params))
 
 
 def record_to_json(verdict, ms_elapsed) -> dict:
@@ -158,10 +179,8 @@ def cmd_analyze(args):
     params = _params(args.params)
     limit = _node_limit_from(args)
     start = time.monotonic()
-    try:
-        verdict = analyze(params, node_limit=limit)
-    except ValueError as exc:   # the graph's rank bound, checked as it builds
-        raise _InputError(exc)
+    # a ValueError: the graph's rank bound, checked as it builds
+    verdict = _checked(lambda: analyze(params, node_limit=limit))
     rec = record_to_json(verdict, int((time.monotonic() - start) * 1000))
     if args.json:
         print(json.dumps(rec, sort_keys=True))
@@ -237,100 +256,40 @@ def _jsonl_row(rec) -> str:
                       sort_keys=True)
 
 
-def _cache_path(directory):
-    return os.path.join(directory, "donaldson-cache.jsonl")
+_WORKER_ARGS: tuple = ()
 
 
-def _int(value):
-    """value, when it is a JSON integer (not a bool); else ValueError."""
-    if type(value) is not int:
-        raise ValueError("not an integer: %r" % (value,))
-    return value
+def _init_worker(node_limit, cache):
+    global _WORKER_ARGS
+    _WORKER_ARGS = node_limit, cache
 
 
-def _int_rows(value):
-    """A JSON list of integer lists as a tuple of tuples; else ValueError."""
-    if not isinstance(value, list) or \
-            not all(isinstance(row, list) for row in value):
-        raise ValueError("not a list of integer lists: %r" % (value,))
-    return tuple(tuple(map(_int, row)) for row in value)
-
-
-def _load_cache(directory):
-    """Cached search results; an input error when the cache file cannot
-    be opened or has a malformed line.  An embeddable entry's witness must
-    embed its key's graph, StarGraph(center, legs): a cache written before
-    witnesses were stored in that order is refused."""
-    cache = {}
-    path = _cache_path(directory)
-    if not os.path.exists(path):
-        return cache
-    try:
-        fh = open(path, "rb")   # json.loads decodes, inside the try
-    except OSError as exc:
-        raise _InputError("cannot read cache file %s: %s" % (path, exc))
-    with fh:
-        for n, line in enumerate(fh, 1):
-            try:
-                obj = json.loads(line)
-                key = (_int(obj["center"]), _int_rows(obj["legs"]))
-                rows = obj["witness"]
-                witness = None if rows is None else _int_rows(rows)
-                res = EmbeddingResult(DonaldsonStatus(obj["status"]),
-                                      witness or None, _int(obj["nodes"]))
-                if (res.status is DonaldsonStatus.EMBEDDABLE) != bool(witness):
-                    raise ValueError("a witness belongs to exactly the "
-                                     "embeddable entries")
-                if witness and not verify_embedding(StarGraph(*key), witness):
-                    raise ValueError("the witness does not embed the graph "
-                                     "of its key")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise _InputError("bad cache file %s line %d: %s"
-                                  % (path, n, exc))
-            # a search that gave up at a node limit decides nothing
-            if res.status is not DonaldsonStatus.INCONCLUSIVE:
-                cache[key] = res
-    return cache
-
-
-def _save_cache(directory, cache):
-    """Write every entry, sorted, to a temporary file and rename it over
-    the cache file, so an interrupted save leaves the old file whole.  The
-    cache holds decided searches only (classify._donaldson stores no
-    INCONCLUSIVE), so a later run with a higher node limit searches
-    again."""
-    path = _cache_path(directory)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        for key, res in sorted(cache.items()):
-            fh.write(json.dumps({
-                "center": key[0], "legs": [list(leg) for leg in key[1]],
-                "status": res.status.value,
-                "witness": [list(r) for r in res.witness]
-                if res.witness else None,
-                "nodes": res.nodes,
-            }, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-_WORKER_CACHE: dict | None = None
-
-
-def _init_worker(cache):
-    global _WORKER_CACHE
-    _WORKER_CACHE = cache
-
-
-def _worker(task):
+def _worker(ms):
     """A class's record and the cache entries its search added.  The
     entries go to a fresh dict in front of the loaded cache; no two
     classes of one enumeration share a graph, so no later class of this
     worker would have read them."""
-    ms, node_limit = task
+    node_limit, cache = _WORKER_ARGS
     new = {}
-    rec = class_record(ms, node_limit=node_limit,
-                       cache=ChainMap(new, _WORKER_CACHE))
+    rec = class_record(ms, node_limit=node_limit, cache=ChainMap(new, cache))
     return rec, new
+
+
+def _results(classes, node_limit, cache, jobs):
+    """The (record, new cache entries) of each class, in order, from
+    _worker, which runs in this process for one job and in a pool of jobs
+    processes for more; the caller merges the entries the same way for
+    both."""
+    _init_worker(node_limit, cache)
+    if jobs > 1:
+        # imported here, the one place that uses it, so that no other
+        # command pays for importing it
+        import multiprocessing
+        with multiprocessing.Pool(jobs, initializer=_init_worker,
+                                  initargs=(node_limit, cache)) as pool:
+            yield from pool.imap(_worker, classes, chunksize=16)
+    else:
+        yield from map(_worker, classes)
 
 
 def cmd_enumerate(args):
@@ -338,33 +297,19 @@ def cmd_enumerate(args):
         raise _InputError("--jobs must be a positive integer, got %d"
                           % args.jobs)
     node_limit = _node_limit_from(args)
+    cache = {}
     if args.cache:
-        try:
-            os.makedirs(args.cache, exist_ok=True)
-        except OSError as exc:
-            raise _InputError("cannot create cache directory %s: %s"
-                              % (args.cache, exc))
-    cache = _load_cache(args.cache) if args.cache else {}
-    try:
-        classes = sorted(knot_classes(args.max_strands, args.max_param))
-    except ValueError as exc:
-        raise _InputError(exc)
+        path = _cache_path(args.cache)
+        _checked(lambda: os.makedirs(args.cache, exist_ok=True),
+                 "create cache directory " + args.cache)
+        cache = _checked(lambda: _load_cache(path), "read cache file " + path)
+    classes = _checked(
+        lambda: sorted(knot_classes(args.max_strands, args.max_param)))
 
     records = []
-    if args.jobs > 1:
-        # imported here, the one place that uses it, so that no other
-        # command pays for importing it
-        import multiprocessing
-        todo = [(ms, node_limit) for ms in classes]
-        with multiprocessing.Pool(args.jobs, initializer=_init_worker,
-                                  initargs=(cache,)) as pool:
-            for rec, new in pool.imap(_worker, todo, chunksize=16):
-                records.append(rec)
-                cache.update(new)
-    else:
-        for ms in classes:
-            records.append(class_record(ms, node_limit=node_limit,
-                                        cache=cache))
+    for rec, new in _results(classes, node_limit, cache, args.jobs):
+        records.append(rec)
+        cache.update(new)
 
     head, row = (([CSV_HEADER], _csv_row) if args.format == "csv"
                  else ([], _jsonl_row))
@@ -372,18 +317,9 @@ def cmd_enumerate(args):
 
     # the cache first: a run that exits 2 leaves no report behind
     if args.cache:
-        try:
-            _save_cache(args.cache, cache)
-        except OSError as exc:
-            raise _InputError("cannot write cache file %s: %s"
-                              % (_cache_path(args.cache), exc))
-
+        _checked(lambda: _save_cache(path, cache), "write cache file " + path)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _InputError("cannot write %s: %s" % (args.out, exc))
+        _checked(lambda: _write(args.out, text), "write " + args.out)
     else:
         sys.stdout.write(text)
 

@@ -126,10 +126,7 @@ def normalize(params) -> tuple[int, ...]:
     With that step the result does not depend on the rewrite order (checked
     by test on random inputs).
     """
-    p = list(as_params(params))
-    for _ in range(min(p.count(1), p.count(-1))):
-        p.remove(1)
-        p.remove(-1)
+    p = _cancel_unitaries(list(as_params(params)))
     for unit, two in ((1, -2), (-1, 2)):
         while unit in p and two in p:
             p.remove(unit)
@@ -141,6 +138,18 @@ def normalize(params) -> tuple[int, ...]:
     for i, x in zip(twos, sorted(p[i] for i in twos)):
         p[i] = x
     return tuple(p)
+
+
+def _cancel_unitaries(p: list) -> list:
+    """p after rule (a) of normalize: for m = min(#1, #-1), its first m
+    entries 1 and its first m entries -1 go, the rest keep their order.
+    Linear, and with no opposite pair p itself after two counts."""
+    m = min(p.count(1), p.count(-1))
+    if not m:
+        return p
+    drop = {i for unit in (1, -1)
+            for i in [j for j, x in enumerate(p) if x == unit][:m]}
+    return [x for i, x in enumerate(p) if i not in drop]
 
 
 @dataclass(frozen=True)

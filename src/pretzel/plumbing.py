@@ -64,8 +64,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NotAKnotError, as_params, classify_type, nonunitary, \
-    unitary_count_and_sign
+from .core import NotAKnotError, _cancel_unitaries, as_params, \
+    classify_type, nonunitary, unitary_count_and_sign
 
 # Graphs above this rank are refused while they are built.  Building and
 # printing one is O(rank); an embedding witness is a dense rank x rank
@@ -108,10 +108,7 @@ def _require_knot(params):
     p = list(as_params(params))
     if not classify_type(p).is_knot():
         raise NotAKnotError("operation defined for pretzel knots only")
-    while 1 in p and -1 in p:
-        p.remove(1)
-        p.remove(-1)
-    return tuple(p)
+    return tuple(_cancel_unitaries(p))
 
 
 def star_graph(params) -> StarGraph:

@@ -505,8 +505,9 @@ def test_enumerate_truncated_cache_exit_2(tmp_path):
 
 @pytest.mark.parametrize("blob, n", [
     (b"\xff\xfe\n", 1),
-    (b'{"center": -2, "legs": [], "nodes": 1, "status": "not_embeddable", '
-     b'"witness": null}\n\xc3\x28\n', 2),
+    (b'{"center": -3, "legs": [[-5], [-3], [-2, -2, -2, -2, -2, -2]], '
+     b'"nodes": 7, "status": "not_embeddable", "witness": null}\n'
+     b'\xc3\x28\n', 2),
 ], ids=["utf16-bom", "second-line"])
 def test_enumerate_cache_not_utf8_exit_2(blob, n, tmp_path, capsys):
     cache = tmp_path / "cache"
@@ -518,6 +519,52 @@ def test_enumerate_cache_not_utf8_exit_2(blob, n, tmp_path, capsys):
                  "--cache", str(cache), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad cache file %s line %d: " % (path, n))
+    assert err.splitlines() == [err.strip()]
+    assert not out.exists()
+
+
+def test_enumerate_cache_deep_nesting_exit_2(tmp_path):
+    # json.loads gives up on deep nesting with RecursionError, which is a
+    # bad cache line like any other, not a traceback
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "donaldson-cache.jsonl"
+    path.write_text("[" * 200000 + "\n")
+    out = tmp_path / "r.csv"
+    r = run_cli("enumerate", "--max-strands", "3", "--max-param", "3",
+                "--cache", str(cache), "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: bad cache file %s line 1: " % path)
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert not out.exists()
+
+
+# not_embeddable keys that name no graph the search runs on, each failing
+# one condition: a key must have no empty leg, be negative definite, have a
+# square |det| and signature 0 (an even |det| has no Wu class at all)
+BAD_NOT_EMBEDDABLE_KEYS = {
+    "empty leg": (-1, [[]]),
+    "not negative definite": (1, [[-5], [2], [2, 2]]),
+    "det not a square": (-2, [[-5], [-2, -2], [-2, -2]]),
+    "even det": (-4, []),
+    "signature not 0": (-9, []),
+}
+
+
+@pytest.mark.parametrize("why", BAD_NOT_EMBEDDABLE_KEYS)
+def test_enumerate_cache_not_embeddable_key_exit_2(why, tmp_path, capsys):
+    center, legs = BAD_NOT_EMBEDDABLE_KEYS[why]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "donaldson-cache.jsonl"
+    path.write_text(json.dumps({"center": center, "legs": legs, "nodes": 1,
+                                "status": "not_embeddable", "witness": None},
+                               sort_keys=True) + "\n")
+    out = tmp_path / "r.csv"
+    assert main(["enumerate", "--max-strands", "3", "--max-param", "3",
+                 "--cache", str(cache), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad cache file %s line 1: " % path)
     assert err.splitlines() == [err.strip()]
     assert not out.exists()
 
@@ -574,6 +621,17 @@ def _refuse_edited_cache(edit, tmp_path, capsys):
     assert err.startswith("error: bad cache file %s line %d: " % (path, n))
     assert err.splitlines() == [err.strip()]
     assert not out.exists()
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # enumerate imports multiprocessing for --jobs > 1 only; no other
+    # command pays for it
+    r = subprocess.run([sys.executable, "-c", "import sys, pretzel.cli; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'multiprocessing'))"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_enumerate_unwritable_output(tmp_path):

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pretzel.plumbing
 from pretzel import (Kind, ZeroParameterError, as_params, classify_type,
                      mirror, mutation_class, normalize, parse_params)
+from pretzel.core import _cancel_unitaries
 
 nonzero = st.integers(-9, 9).filter(lambda x: x != 0)
 param_lists = st.lists(nonzero, min_size=1, max_size=8).map(tuple)
@@ -125,6 +129,32 @@ def test_normalize_preserves_knot_vs_link(p):
         assert classify_type(p) is Kind.LINK
         return
     assert classify_type(q).is_knot() == classify_type(p).is_knot()
+
+
+def _cancel_by_remove(params):
+    """Rule (a) of normalize by list.remove, leftmost first, while a 1 and
+    a -1 both remain: the quadratic loop that core._cancel_unitaries
+    replaced, kept as its oracle."""
+    p = list(params)
+    while 1 in p and -1 in p:
+        p.remove(1)
+        p.remove(-1)
+    return p
+
+
+def test_cancel_unitaries_matches_the_remove_loop():
+    rng = random.Random(34)
+    values = [1, -1, 1, -1, 2, -2, 3, -3, 5, -7]
+    sizes = [rng.randint(0, 12) for _ in range(2000)] + [4000] * 4
+    for n in sizes:
+        p = [rng.choice(values) for _ in range(n)]
+        want = _cancel_by_remove(p)
+        got = _cancel_unitaries(list(p))
+        assert got == want, p
+        if want == p:   # no opposite pair: the list itself, after two counts
+            assert _cancel_unitaries(p) is p
+        if p and classify_type(p).is_knot():
+            assert pretzel.plumbing._require_knot(p) == tuple(want)
 
 
 def test_mutation_class_examples():
